@@ -23,8 +23,8 @@ Examples::
 
 ``audit`` arms the runtime conservation-law auditors
 (``docs/INVARIANTS.md``): a seeded batch of differential fuzz cells runs
-each small simulation through the audited fast kernel loop and the
-checked loop and requires bit-identical results, then Figure 1 is
+each small simulation armed (instrumented kernel loop) and disarmed
+(fast loop) and requires bit-identical results, then Figure 1 is
 regenerated with every auditor armed and byte-compared to ``results/``.
 
 ``sweep`` runs a figure grid through the resilient harness: progress is
@@ -189,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "described in this JSON plan (see docs/FAULTS.md)")
     run.add_argument("--fault-seed", type=int, metavar="N", default=None,
                      help="override the fault plan's RNG seed")
-    _add_queue_flag(run)
 
     degraded = sub.add_parser(
         "degraded", help="clean vs. drive-failure run on every architecture")
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out-dir", default="results",
                        help="directory for .txt/.csv artifacts and "
                             "MANIFEST.json (default results)")
-    _add_queue_flag(sweep)
     _add_harness_flags(sweep)
 
     resume = sub.add_parser(
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--wait-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="give up waiting after this long")
-    _add_queue_flag(submit)
 
     status = sub.add_parser(
         "status", help="show a running service's queue, workers and "
@@ -476,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "benchmark's events/s ratio (or wall "
                             "speedup) drops below RATIO, so CI can "
                             "gate on throughput regressions")
-    _add_queue_flag(bench)
 
     for name, helptext, extras in (
             ("fig1", "architecture comparison (Figure 1)", "sizes tasks"),
@@ -498,15 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "table1":
             cmd.add_argument("--disks", type=int, default=64)
     return parser
-
-
-def _add_queue_flag(cmd) -> None:
-    from .sim.queues import QUEUE_BACKENDS
-    cmd.add_argument("--queue-backend", choices=sorted(QUEUE_BACKENDS),
-                     default=None, metavar="NAME",
-                     help="kernel event-queue backend "
-                          f"({'/'.join(sorted(QUEUE_BACKENDS))}; default: "
-                          "REPRO_SIM_QUEUE or the built-in default)")
 
 
 def _add_harness_flags(cmd) -> None:
@@ -561,8 +548,7 @@ def _command_run(args) -> str:
         from .faults import FaultPlan
         fault_plan = FaultPlan.from_file(args.fault_plan)
     result = run_task(config, args.task, scale, telemetry=telemetry,
-                      fault_plan=fault_plan, fault_seed=args.fault_seed,
-                      queue_backend=args.queue_backend)
+                      fault_plan=fault_plan, fault_seed=args.fault_seed)
     lines = [
         f"{args.task} on {args.arch} / {args.disks} disks "
         f"(scale {scale:g})",
@@ -760,8 +746,7 @@ def _run_figure_sweep(figure: str, sizes, tasks, scale: float,
                       journal: Optional[str], out_dir: str,
                       jobs: int, timeout: Optional[float],
                       retries: int,
-                      memory_budget: Optional[int] = None,
-                      queue: Optional[str] = None) -> str:
+                      memory_budget: Optional[int] = None) -> str:
     """Run one figure through the harness and write crash-safe artifacts."""
     from .experiments import SweepRunner
     from .service.requests import SweepRequest
@@ -769,7 +754,7 @@ def _run_figure_sweep(figure: str, sizes, tasks, scale: float,
     request = SweepRequest(figure=figure,
                            sizes=tuple(sizes) if sizes else None,
                            tasks=tuple(tasks) if tasks else None,
-                           scale=scale, out_dir=out_dir, queue=queue)
+                           scale=scale, out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
     if journal is None:
         journal = os.path.join(out_dir, f"{figure}.journal.jsonl")
@@ -790,7 +775,7 @@ def _command_sweep(args) -> str:
     return _run_figure_sweep(
         args.figure, args.sizes, args.tasks, _scale_value(args),
         args.journal, args.out_dir, args.jobs, args.timeout, args.retries,
-        args.memory_budget, queue=args.queue_backend)
+        args.memory_budget)
 
 
 def _command_resume(args) -> str:
@@ -805,7 +790,7 @@ def _command_resume(args) -> str:
             meta["figure"], meta.get("sizes"), meta.get("tasks"),
             meta.get("scale", parse_scale(DEFAULT_SCALE)),
             args.journal, out_dir, args.jobs, args.timeout, args.retries,
-            args.memory_budget, queue=meta.get("queue"))
+            args.memory_budget)
     # A journal without driver metadata: just complete its cells.
     _, results = resume_sweep(args.journal, jobs=args.jobs,
                               timeout=args.timeout, retries=args.retries,
@@ -846,8 +831,6 @@ def _command_submit(args) -> int:
         request["sizes"] = list(args.sizes)
     if args.tasks:
         request["tasks"] = list(args.tasks)
-    if args.queue_backend:
-        request["queue"] = args.queue_backend
     try:
         outcome = submit_request(_service_address(args), request,
                                  wait=args.wait,
@@ -942,58 +925,48 @@ def _command_bench(args) -> int:
         render_comparison,
         worst_events_ratio,
     )
-    from .sim.queues import queue_override, resolve_backend
 
     if args.fail_below is not None and not args.compare:
         print("bench: --fail-below requires --compare", file=sys.stderr)
         return 2
 
-    def run_suites() -> int:
-        backend = resolve_backend()
-        print(f"queue backend: {backend}")
-        suites = {}
-        if args.suite in ("kernel", "all"):
-            suites["kernel"] = run_kernel_suite(quick=args.quick,
-                                                repeats=args.repeats)
-        if args.suite in ("e2e", "all"):
-            suites["e2e"] = run_e2e_suite(quick=args.quick,
-                                          repeats=args.repeats,
-                                          check_identity=not args.no_identity)
-        os.makedirs(args.out_dir, exist_ok=True)
-        status = 0
-        for name, results in suites.items():
-            document = suite_document(name, results, quick=args.quick)
-            path = os.path.join(args.out_dir, f"BENCH_{name}.json")
-            write_suite(path, document)
-            print(f"{name} suite -> {path}")
-            for result in results:
-                rate = (f"  {result.events_per_sec:>12,.0f} ev/s"
-                        if result.events else " " * 17)
-                print(f"  {result.name:<28} {result.wall_s:>9.4f}s{rate}")
-            if args.compare:
-                baseline_path = os.path.join(args.compare,
-                                             f"BENCH_{name}.json")
-                try:
-                    baseline = load_suite(baseline_path)
-                except OSError as exc:
-                    print(f"  (no baseline to compare: {exc})")
-                else:
-                    rows = compare_suites(baseline, document)
-                    print(render_comparison(rows, queue_backend=backend))
-                    worst = worst_events_ratio(rows)
-                    if (args.fail_below is not None and worst is not None
-                            and worst < args.fail_below):
-                        print(f"bench: {name} suite regressed: worst "
-                              f"throughput ratio {worst:.3f} is below "
-                              f"--fail-below {args.fail_below:.3f}",
-                              file=sys.stderr)
-                        status = 1
-        return status
-
-    if args.queue_backend:
-        with queue_override(args.queue_backend):
-            return run_suites()
-    return run_suites()
+    suites = {}
+    if args.suite in ("kernel", "all"):
+        suites["kernel"] = run_kernel_suite(quick=args.quick,
+                                            repeats=args.repeats)
+    if args.suite in ("e2e", "all"):
+        suites["e2e"] = run_e2e_suite(quick=args.quick,
+                                      repeats=args.repeats,
+                                      check_identity=not args.no_identity)
+    os.makedirs(args.out_dir, exist_ok=True)
+    status = 0
+    for name, results in suites.items():
+        document = suite_document(name, results, quick=args.quick)
+        path = os.path.join(args.out_dir, f"BENCH_{name}.json")
+        write_suite(path, document)
+        print(f"{name} suite -> {path}")
+        for result in results:
+            rate = (f"  {result.events_per_sec:>12,.0f} ev/s"
+                    if result.events else " " * 17)
+            print(f"  {result.name:<28} {result.wall_s:>9.4f}s{rate}")
+        if args.compare:
+            baseline_path = os.path.join(args.compare, f"BENCH_{name}.json")
+            try:
+                baseline = load_suite(baseline_path)
+            except OSError as exc:
+                print(f"  (no baseline to compare: {exc})")
+            else:
+                rows = compare_suites(baseline, document)
+                print(render_comparison(rows))
+                worst = worst_events_ratio(rows)
+                if (args.fail_below is not None and worst is not None
+                        and worst < args.fail_below):
+                    print(f"bench: {name} suite regressed: worst "
+                          f"throughput ratio {worst:.3f} is below "
+                          f"--fail-below {args.fail_below:.3f}",
+                          file=sys.stderr)
+                    status = 1
+    return status
 
 
 def _command_doctor(args) -> int:

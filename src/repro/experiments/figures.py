@@ -102,18 +102,11 @@ class Fig1Result:
 
 def run_fig1(sizes: Sequence[int] = CORE_SIZES,
              tasks: Optional[Sequence[str]] = None,
-             scale: float = DEFAULT_SCALE, runner=None,
-             queue: Optional[str] = None) -> Fig1Result:
-    """Figure 1: all tasks on comparable configurations of all three.
-
-    ``queue`` pins the kernel event-queue backend for every cell (the
-    identity/bench machinery uses it for A/B runs); ``None`` keeps the
-    process-wide default.
-    """
+             scale: float = DEFAULT_SCALE, runner=None) -> Fig1Result:
+    """Figure 1: all tasks on comparable configurations of all three."""
     tasks = tuple(tasks or registered_tasks())
     specs = [
-        CellSpec(task=task, arch=arch, num_disks=size, scale=scale,
-                 queue=queue)
+        CellSpec(task=task, arch=arch, num_disks=size, scale=scale)
         for size in sizes
         for arch in ("active", "cluster", "smp")
         for task in tasks
@@ -164,13 +157,12 @@ class Fig2Result:
 
 def run_fig2(sizes: Sequence[int] = (64, 128),
              tasks: Optional[Sequence[str]] = None,
-             scale: float = DEFAULT_SCALE, runner=None,
-             queue: Optional[str] = None) -> Fig2Result:
+             scale: float = DEFAULT_SCALE, runner=None) -> Fig2Result:
     """Figure 2: impact of I/O interconnect bandwidth on AD and SMP."""
     tasks = tuple(tasks or registered_tasks())
     specs = [
         CellSpec(task=task, arch=arch, num_disks=size, variant=variant,
-                 scale=scale, interconnect_mb=rate_mb, queue=queue)
+                 scale=scale, interconnect_mb=rate_mb)
         for size in sizes
         for rate_mb, variant in ((200, "200MB"), (400, "400MB"))
         for task in tasks
@@ -231,8 +223,7 @@ class Fig3Result:
 
 
 def run_fig3(sizes: Sequence[int] = CORE_SIZES,
-             scale: float = DEFAULT_SCALE, runner=None,
-             queue: Optional[str] = None) -> Fig3Result:
+             scale: float = DEFAULT_SCALE, runner=None) -> Fig3Result:
     """Figure 3: sort phases, plus Fast Disk and Fast I/O variants."""
     variant_fields = {
         "base": {},
@@ -241,7 +232,7 @@ def run_fig3(sizes: Sequence[int] = CORE_SIZES,
     }
     specs = [
         CellSpec(task="sort", arch="active", num_disks=size,
-                 variant=variant, scale=scale, queue=queue, **fields)
+                 variant=variant, scale=scale, **fields)
         for size in sizes
         for variant, fields in variant_fields.items()
     ]
@@ -292,14 +283,12 @@ class Fig4Result:
 def run_fig4(sizes: Sequence[int] = CORE_SIZES,
              tasks: Optional[Sequence[str]] = None,
              memories_mb: Sequence[int] = (32, 64, 128),
-             scale: float = DEFAULT_SCALE, runner=None,
-             queue: Optional[str] = None) -> Fig4Result:
+             scale: float = DEFAULT_SCALE, runner=None) -> Fig4Result:
     """Figure 4: impact of Active Disk memory (32/64/128 MB)."""
     tasks = tuple(tasks or registered_tasks())
     specs = [
         CellSpec(task=task, arch="active", num_disks=size,
-                 variant=f"mem{memory}", scale=scale, memory_mb=memory,
-                 queue=queue)
+                 variant=f"mem{memory}", scale=scale, memory_mb=memory)
         for size in sizes
         for memory in memories_mb
         for task in tasks
@@ -344,14 +333,12 @@ class Fig5Result:
 
 def run_fig5(sizes: Sequence[int] = (32, 64, 128),
              tasks: Optional[Sequence[str]] = None,
-             scale: float = DEFAULT_SCALE, runner=None,
-             queue: Optional[str] = None) -> Fig5Result:
+             scale: float = DEFAULT_SCALE, runner=None) -> Fig5Result:
     """Figure 5: impact of restricting direct disk-to-disk communication."""
     tasks = tuple(tasks or registered_tasks())
     specs = [
         CellSpec(task=task, arch="active", num_disks=size, variant=mode,
-                 scale=scale, restricted=(mode == "restricted"),
-                 queue=queue)
+                 scale=scale, restricted=(mode == "restricted"))
         for size in sizes
         for task in tasks
         for mode in ("direct", "restricted")

@@ -69,8 +69,7 @@ def run_task(config: ArchConfig, task: str,
              scale: float = DEFAULT_SCALE,
              telemetry=None, fault_plan=None,
              fault_seed: Optional[int] = None,
-             invariants=None, debug: bool = False,
-             queue_backend: Optional[str] = None) -> RunResult:
+             invariants=None, debug: bool = False) -> RunResult:
     """Simulate ``task`` on a fresh machine built from ``config``.
 
     Pass a fresh :class:`~repro.telemetry.Telemetry` hub to record a
@@ -91,14 +90,10 @@ def run_task(config: ArchConfig, task: str,
     the hub is installed before the machine is built so every component
     self-registers, and any broken ledger raises a structured
     :class:`~repro.invariants.InvariantViolation`. ``debug=True`` runs
-    the checked kernel loop instead of the fast one (same simulation,
-    more per-event validation).
-
-    ``queue_backend`` pins the kernel's event-queue backend for this
-    run (``"heap"`` or ``"calendar"``); ``None`` defers to the usual
-    resolution (override context > ``REPRO_SIM_QUEUE`` > default).
+    the instrumented kernel loop instead of the fast one (same
+    simulation, every event through ``Simulator.step``).
     """
-    sim = Simulator(debug=debug, queue=queue_backend)
+    sim = Simulator(debug=debug)
     if invariants is None:
         from ..invariants import default_auditor
         invariants = default_auditor()

@@ -57,10 +57,6 @@ class CellSpec:
     fault_at: Optional[float] = None
     fault_seed: int = 0
     audit: bool = False
-    #: Event-queue backend override for the cell's simulator(s); None
-    #: defers to the process-wide default. Part of the config hash
-    #: only when set, so existing journals keep their keys.
-    queue: Optional[str] = None
     #: Traffic cells: a :class:`repro.traffic.TrafficConfig` encoding.
     #: ``task`` is "traffic" by convention; ``run_cell`` dispatches to
     #: the open-loop engine instead of a single-query simulation.
@@ -122,8 +118,7 @@ def build_config(spec: CellSpec):
     return config
 
 
-def run_cell(spec: CellSpec, invariants=None,
-             debug: bool = False) -> RunResult:
+def run_cell(spec: CellSpec, invariants=None) -> RunResult:
     """Run one cell to completion in the current process.
 
     ``spec.audit`` arms a fresh
@@ -131,16 +126,12 @@ def run_cell(spec: CellSpec, invariants=None,
     caller passes its own via ``invariants``); a broken conservation law
     then raises :class:`~repro.invariants.InvariantViolation`, which the
     pool quarantines immediately — a deterministic modelling defect is
-    not worth retrying. ``debug=True`` selects the checked kernel loop.
+    not worth retrying.
     """
     from .runner import run_task
 
     if spec.traffic is not None:
-        from ..sim.queues import queue_override
         from ..traffic.driver import run_traffic_cell
-        if spec.queue is not None:
-            with queue_override(spec.queue):
-                return run_traffic_cell(spec)
         return run_traffic_cell(spec)
     if invariants is None and spec.audit:
         from ..invariants import InvariantAuditor
@@ -153,8 +144,7 @@ def run_cell(spec: CellSpec, invariants=None,
                       at=spec.fault_at or 0.0),
             seed=spec.fault_seed)
     return run_task(build_config(spec), spec.task, spec.scale,
-                    fault_plan=fault_plan, invariants=invariants,
-                    debug=debug, queue_backend=spec.queue)
+                    fault_plan=fault_plan, invariants=invariants)
 
 
 @dataclass
@@ -459,7 +449,14 @@ def _run_pool(specs, *, jobs, timeout, retries, backoff, cell_fn,
             now = time.monotonic()
             still: List[_Running] = []
             for entry in running:
-                if entry.conn.poll():
+                ready = entry.conn.poll()
+                dead = not ready and not entry.proc.is_alive()
+                if dead:
+                    # The worker may have sent its result and exited
+                    # between the poll and the liveness check: look at
+                    # the pipe once more before failing the attempt.
+                    ready = entry.conn.poll()
+                if ready:
                     try:
                         kind, payload = entry.conn.recv()
                     except EOFError:
@@ -485,7 +482,7 @@ def _run_pool(specs, *, jobs, timeout, retries, backoff, cell_fn,
                         attempt_failed(entry, payload, "error")
                     else:
                         attempt_failed(entry, payload, "crashed")
-                elif not entry.proc.is_alive():
+                elif dead:
                     _reap(entry)
                     attempt_failed(
                         entry,

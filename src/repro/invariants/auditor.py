@@ -11,7 +11,8 @@ bit-identical to a disarmed one.
 
 Auditor catalog (see ``docs/INVARIANTS.md``):
 
-* kernel — clock monotonicity + event-heap sanity (``invariants.kernel``)
+* kernel — clock monotonicity + event-heap sanity
+  (:meth:`InvariantAuditor.kernel_event`, called by ``Simulator.step``)
 * :class:`DriveAuditor` — request lifecycle + media byte conservation
 * :class:`MachineAuditor` — phase input/shuffle/frontend byte ledgers
 * :class:`MemoryAuditor` — DiskOS static-budget enforcement
@@ -424,17 +425,19 @@ class InvariantAuditor:
         machine = build_machine(sim, config)   # components self-register
         machine.run()                          # violations raise here
 
-    The hub piggybacks on the simulator's lifecycle hooks: ``run()``
-    selects the audited kernel loop (clock monotonicity, heap sanity,
-    periodic resource sweeps) and ``run_finished`` settles the final
-    conservation ledgers — unless the run is already unwinding with an
-    exception, which the final audit must not mask.
+    The hub piggybacks on the simulator: an armed ``run()`` steps every
+    event through ``Simulator.step``, which calls :meth:`kernel_event`
+    (clock monotonicity, heap sanity, periodic resource sweeps), and
+    the ``run_finished`` lifecycle hook settles the final conservation
+    ledgers — unless the run is already unwinding with an exception,
+    which the final audit must not mask.
     """
 
     enabled = True
 
     def __init__(self, period: int = 2048):
         self.period = max(1, int(period))
+        self._stride = 0
         self.sim: Any = None
         self.counters: Dict[str, int] = {}
         self.violations: List[InvariantViolation] = []
@@ -553,7 +556,35 @@ class InvariantAuditor:
                 detail=f"busy {server.busy_time()!r}s of {self.now!r}s")
 
     # ----------------------------------------------------- kernel hooks
+    def kernel_event(self, when: float, event: Any) -> None:
+        """Audit one event the kernel just popped, before it dispatches.
+
+        A queued event timestamped before the clock is a kernel-protocol
+        breach; a popped event whose callbacks are already gone was
+        scheduled twice. Every ``period`` events the resource bounds
+        are swept too.
+        """
+        now = self.sim.now
+        if when < now:
+            self.fail(
+                "sim.kernel", "clock-monotonicity",
+                expected=f"next event at or after t={now!r}",
+                observed=f"event scheduled at t={when!r}",
+                detail="event scheduled in the past")
+        if event.callbacks is None:
+            self.fail(
+                "sim.kernel", "event-heap",
+                expected="every queued event is unprocessed",
+                observed=f"already-processed {event!r} queued "
+                         f"for t={when!r}",
+                detail="an event was scheduled twice")
+        self._stride += 1
+        if self._stride >= self.period:
+            self._stride = 0
+            self.sweep()
+
     def run_started(self, sim: Any) -> None:  # lifecycle-hook protocol
+        self._stride = 0
         self.note("invariants.runs")
 
     def run_finished(self, sim: Any) -> None:

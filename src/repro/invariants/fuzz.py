@@ -1,14 +1,14 @@
 """Differential fuzzing of the simulator's kernels and physics.
 
-The repo carries three interchangeable kernel run loops — the fast one
-(``Simulator._run_fast``), the checked one (``repro.sim.debug``) and the
-audited one (:mod:`repro.invariants.kernel`). They are hand-kept mirrors
-of each other, which is exactly the kind of code that rots silently.
-This module keeps them honest by brute force: generate seeded random
-small simulation cells (workload x architecture x fault plan x memory
-size), run each cell once through the **audited fast loop** with every
-conservation-law auditor armed and once through the **checked loop**
-disarmed, and require
+The kernel has two run loops: the fast one (``Simulator._run_fast``),
+which recycles pooled events and hoists every per-event hook out, and
+the instrumented one, which steps each event through
+``Simulator.step`` (trace callback, armed auditor hook, no recycling).
+They must simulate identically. This module checks that by brute
+force: generate seeded random small simulation cells (workload x
+architecture x fault plan x memory size), run each cell once through
+the **instrumented loop** with every conservation-law auditor armed
+and once through the **fast loop** disarmed, and require
 
 * neither run raises (no invariant violations, no kernel-protocol
   errors), and
@@ -127,15 +127,15 @@ def fuzz_cells(count: int = 25, seed: int = 0) -> List[CellSpec]:
     return cells
 
 
-def _diff_results(audited: Dict, checked: Dict) -> List[str]:
+def _diff_results(audited: Dict, fast: Dict) -> List[str]:
     """Exact field-by-field diff of two serialized RunResults."""
     diffs: List[str] = []
-    keys = sorted(set(audited) | set(checked))
+    keys = sorted(set(audited) | set(fast))
     for key in keys:
         left = audited.get(key)
-        right = checked.get(key)
+        right = fast.get(key)
         if left != right:
-            diffs.append(f"{key}: audited={left!r} checked={right!r}")
+            diffs.append(f"{key}: audited={left!r} fast={right!r}")
     return diffs
 
 
@@ -143,10 +143,10 @@ def run_fuzz(cells: Optional[Sequence[CellSpec]] = None, *,
              count: int = 25, seed: int = 0,
              journal_path: Optional[str] = None,
              on_cell=None) -> FuzzReport:
-    """Run the differential batch; every cell fast-audited vs checked.
+    """Run the differential batch; every cell armed vs disarmed.
 
-    Each cell runs twice: once through the audited fast kernel loop with
-    a fresh :class:`InvariantAuditor` armed, once through the checked
+    Each cell runs twice: once through the instrumented kernel loop
+    with a fresh :class:`InvariantAuditor` armed, once through the fast
     loop disarmed. The two serialized results must match exactly.
     ``on_cell(outcome)`` fires per terminal cell; with ``journal_path``
     every cell's lifecycle (including any violation report) is journaled
@@ -195,13 +195,12 @@ def _run_one(spec: CellSpec, result_to_dict) -> FuzzOutcome:
     except Exception as exc:
         return FuzzOutcome(spec, "error",
                            error=f"audited run: {exc!r}")
-    checked_spec = dataclasses.replace(spec, audit=False)
     try:
-        checked = run_cell(checked_spec, debug=True)
+        fast = run_cell(dataclasses.replace(spec, audit=False))
     except Exception as exc:
         return FuzzOutcome(spec, "error",
-                           error=f"checked run: {exc!r}")
-    diff = _diff_results(result_to_dict(audited), result_to_dict(checked))
+                           error=f"fast run: {exc!r}")
+    diff = _diff_results(result_to_dict(audited), result_to_dict(fast))
     if diff:
         return FuzzOutcome(spec, "diverged", diff=diff,
                            error="; ".join(diff[:3]))

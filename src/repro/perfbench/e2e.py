@@ -20,7 +20,6 @@ import time
 from typing import List, Optional, Sequence
 
 from ..sim import Simulator
-from ..sim.queues import queue_override
 from .report import BenchResult, measure, peak_rss_kb
 
 __all__ = ["run_e2e_suite", "fig1_identity_check", "IdentityDrift"]
@@ -58,26 +57,17 @@ def _baseline_scale(lines: List[bytes]) -> float:
 
 
 def fig1_identity_check(quick: bool = False,
-                        sizes: Optional[Sequence[int]] = None,
-                        queue: Optional[str] = None) -> dict:
+                        sizes: Optional[Sequence[int]] = None) -> dict:
     """Regenerate Figure 1 and byte-compare it to the baseline CSV.
 
     ``quick`` restricts the sweep to the 16-disk column and compares it
     against the corresponding subset of the baseline, which keeps the CI
     smoke job fast while still guarding every task x architecture cell.
 
-    ``queue`` pins the kernel's event-queue backend for the regenerated
-    sweep — the CI matrix and the bench A/B machinery use it to prove
-    the figure is byte-identical under *every* backend.
-
     Returns ``{"identical": True, "cells": N, "wall_s": ...}`` or raises
     :class:`IdentityDrift` with the first differing line.
     """
     from ..experiments import fig1_rows, rows_to_csv, run_fig1
-
-    if queue is not None:
-        with queue_override(queue):
-            return fig1_identity_check(quick=quick, sizes=sizes)
 
     baseline = _baseline_lines()
     scale = _baseline_scale(baseline)
@@ -106,17 +96,8 @@ def fig1_identity_check(quick: bool = False,
 
 
 def run_e2e_suite(quick: bool = False, repeats: int = 3,
-                  check_identity: bool = True,
-                  queue: Optional[str] = None) -> List[BenchResult]:
-    """Timed driver cells plus (optionally) the Figure 1 identity guard.
-
-    ``queue`` pins the kernel's event-queue backend for every cell;
-    ``None`` keeps the process-wide default.
-    """
-    if queue is not None:
-        with queue_override(queue):
-            return run_e2e_suite(quick=quick, repeats=repeats,
-                                 check_identity=check_identity)
+                  check_identity: bool = True) -> List[BenchResult]:
+    """Timed driver cells plus (optionally) the Figure 1 identity guard."""
     scale = 1 / 128 if quick else 1 / 64
     results = [
         measure("fig1_cell_sort_active16",

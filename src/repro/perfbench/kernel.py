@@ -20,47 +20,20 @@ The shapes mirror what the experiment drivers actually do:
   reader-per-block pattern of the messaging and block loops.
 * ``server_storm`` — contended FIFO :class:`~repro.sim.Server` slots,
   the CPU/bus arbitration pattern.
-* ``same_tick_flood`` — every process re-arming at the *current* tick,
-  the barrier/fan-out pattern of phase changes and broadcast
-  completions; this is the calendar queue's same-tick FIFO fast path
-  versus the heap's equal-key compare storm.
-* ``horizon_mix`` — a wide bimodal sleep distribution over many
-  processes, keeping hundreds of events pending; heap push/pop cost
-  grows with that depth while the calendar's bucket index does not.
-* ``tick_fanout`` — one controller broadcasting a wide batch of inert
-  same-tick completions per phase, the pattern of a controller
-  signalling thousands of per-block readers at once. The heap's pop
-  pays a full-depth equal-key percolation per entry; the calendar
-  returns the whole tick as one FIFO buffer swap.
-* ``fanout_ballast`` — the same broadcast with a large population of
-  long-horizon timers pending (outstanding disk-arm and wire timers),
-  deepening the heap every percolation has to traverse while the
-  calendar keeps the ballast parked in future buckets it never scans.
-
-A/B matrix
-----------
-In full mode :func:`run_kernel_suite` measures every benchmark under
-both the primary (resolved) backend and the ``heap`` reference,
-*interleaved* — within each timing repeat the backends alternate, so
-thermal/clock drift hits both sides equally. The primary backend keeps
-the plain benchmark name (and gains a ``speedup_vs_heap`` extra);
-reference runs are reported as ``name[heap]``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..sim import Server, Simulator
-from ..sim.queues import resolve_backend
-from .report import BenchResult, measure, peak_rss_kb
+from .report import BenchResult, measure
 
 __all__ = ["run_kernel_suite", "KERNEL_BENCHMARKS"]
 
 
-def _timeout_storm(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
+def _timeout_storm(procs: int, rounds: int) -> int:
+    sim = Simulator()
     # The storm measures the kernel's sleep mechanism as the device
     # models use it: the pooled pause() path where available, plain
     # timeouts on kernels that predate it (keeps A/B runs comparable).
@@ -76,8 +49,8 @@ def _timeout_storm(procs: int, rounds: int, queue=None) -> int:
     return sim.event_count
 
 
-def _event_churn(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
+def _event_churn(procs: int, rounds: int) -> int:
+    sim = Simulator()
 
     def churner():
         for _ in range(rounds):
@@ -91,8 +64,8 @@ def _event_churn(procs: int, rounds: int, queue=None) -> int:
     return sim.event_count
 
 
-def _relay_churn(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
+def _relay_churn(procs: int, rounds: int) -> int:
+    sim = Simulator()
 
     def relayer():
         for _ in range(rounds):
@@ -110,8 +83,8 @@ def _relay_churn(procs: int, rounds: int, queue=None) -> int:
     return sim.event_count
 
 
-def _process_spawn(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
+def _process_spawn(procs: int, rounds: int) -> int:
+    sim = Simulator()
 
     def child(delay: float):
         yield sim.timeout(delay)
@@ -129,8 +102,8 @@ def _process_spawn(procs: int, rounds: int, queue=None) -> int:
     return sim.event_count
 
 
-def _server_storm(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
+def _server_storm(procs: int, rounds: int) -> int:
+    sim = Simulator()
     server = Server(sim, capacity=4, name="storm")
 
     def client(p: int):
@@ -143,76 +116,6 @@ def _server_storm(procs: int, rounds: int, queue=None) -> int:
     return sim.event_count
 
 
-def _same_tick_flood(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
-    # Every process re-arms at the current tick: the whole population
-    # forms one same-timestamp batch per round. An advancing timeout
-    # per round keeps the clock (and the run) finite.
-    def flooder():
-        for _ in range(rounds):
-            yield sim.pause(0.0)
-            yield sim.pause(0.0)
-            yield sim.pause(1e-6)
-
-    for p in range(procs):
-        sim.process(flooder(), name=f"flood{p}")
-    sim.run()
-    return sim.event_count
-
-
-def _horizon_mix(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
-    # Bimodal sleep horizon: half the population wakes ~1000x less
-    # often, so the pending set stays wide for the whole run.
-    def sleeper(delay: float):
-        for _ in range(rounds):
-            yield sim.pause(delay)
-
-    for p in range(procs):
-        if p % 2:
-            delay = 1e-2 * ((p % 7) + 1)
-        else:
-            delay = 1e-5 * ((p % 13) + 1)
-        sim.process(sleeper(delay), name=f"mix{p}")
-    sim.run(until=rounds * 1e-3)
-    return sim.event_count
-
-
-def _tick_fanout(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
-    # One controller arms `procs` inert same-tick completions per
-    # phase: no waiters, no generator resume — the dispatch cost is
-    # almost entirely the event queue's.
-    def controller():
-        for _ in range(rounds):
-            for _ in range(procs):
-                sim.pause(0.0)
-            yield sim.pause(1e-6)
-
-    sim.process(controller(), name="ctl")
-    sim.run()
-    return sim.event_count
-
-
-def _fanout_ballast(procs: int, rounds: int, queue=None) -> int:
-    sim = Simulator(queue=queue)
-    # Long-horizon ballast: outstanding timers far beyond the measured
-    # window. They never fire (the run stops first) but every heap
-    # percolation has to traverse the depth they add.
-    for _ in range(procs * 4):
-        sim.pause(1e3)
-
-    def controller():
-        for _ in range(rounds):
-            for _ in range(procs):
-                sim.pause(0.0)
-            yield sim.pause(1e-6)
-
-    sim.process(controller(), name="ctl")
-    sim.run(until=rounds * 1e-6 + 1.0)
-    return sim.event_count
-
-
 #: name -> (callable, full (procs, rounds), quick (procs, rounds))
 KERNEL_BENCHMARKS = {
     "timeout_storm": (_timeout_storm, (64, 4000), (16, 500)),
@@ -220,76 +123,16 @@ KERNEL_BENCHMARKS = {
     "relay_churn": (_relay_churn, (64, 1000), (16, 125)),
     "process_spawn": (_process_spawn, (64, 1500), (16, 200)),
     "server_storm": (_server_storm, (64, 2000), (16, 250)),
-    "same_tick_flood": (_same_tick_flood, (256, 400), (32, 50)),
-    "horizon_mix": (_horizon_mix, (768, 500), (64, 50)),
-    "tick_fanout": (_tick_fanout, (32768, 12), (512, 10)),
-    "fanout_ballast": (_fanout_ballast, (8192, 50), (256, 10)),
 }
 
 
-def _interleaved(name: str, fn, shape, backends: Sequence[str],
-                 repeats: int) -> List[BenchResult]:
-    """Measure one benchmark under every backend, interleaved.
-
-    Within each repeat the backends alternate (A, B, A, B, ...), so
-    machine noise is shared instead of biasing whichever side ran
-    last. Best wall clock per backend is kept, like :func:`measure`.
-    """
-    procs, rounds = shape
-    walls = {backend: float("inf") for backend in backends}
-    events = dict.fromkeys(backends, 0)
-    for _ in range(max(1, repeats)):
-        for backend in backends:
-            began = time.perf_counter()
-            events[backend] = fn(procs, rounds, queue=backend)
-            wall = time.perf_counter() - began
-            walls[backend] = min(walls[backend], wall)
-    primary = backends[0]
-    results = []
-    for backend in backends:
-        extras = {"procs": procs, "rounds": rounds, "queue": backend}
-        label = name if backend == primary else f"{name}[{backend}]"
-        if backend == primary and "heap" in backends and primary != "heap":
-            heap_rate = events["heap"] / walls["heap"]
-            primary_rate = events[primary] / walls[primary]
-            extras["speedup_vs_heap"] = round(primary_rate / heap_rate, 3)
-        results.append(BenchResult(
-            name=label, wall_s=walls[backend], events=events[backend],
-            repeats=max(1, repeats), peak_rss_kb=peak_rss_kb(),
-            extras=extras))
-    return results
-
-
-def run_kernel_suite(quick: bool = False, repeats: int = 3,
-                     backends: Optional[Sequence[str]] = None
-                     ) -> List[BenchResult]:
-    """Run every kernel microbenchmark; returns one result each.
-
-    Full mode measures an interleaved A/B matrix: the primary backend
-    (the resolved default — honoring ``REPRO_SIM_QUEUE`` and
-    :func:`~repro.sim.queues.queue_override`) plus the ``heap``
-    reference, with ``speedup_vs_heap`` recorded on the primary rows.
-    Quick mode (and an explicit single-entry ``backends``) measures
-    just the primary, keeping the smoke suite one run per benchmark.
-    """
-    primary = resolve_backend()
-    if backends is None:
-        if quick or primary == "heap":
-            backends = (primary,)
-        else:
-            backends = (primary, "heap")
-    else:
-        backends = tuple(resolve_backend(name) for name in backends)
+def run_kernel_suite(quick: bool = False,
+                     repeats: int = 3) -> List[BenchResult]:
+    """Run every kernel microbenchmark; returns one result each."""
     results = []
     for name, (fn, full_shape, quick_shape) in KERNEL_BENCHMARKS.items():
-        shape = quick_shape if quick else full_shape
-        reps = 1 if quick else repeats
-        if len(backends) == 1:
-            procs, rounds = shape
-            backend = backends[0]
-            results.append(measure(
-                name, lambda fn=fn, s=shape, b=backend: fn(*s, queue=b),
-                repeats=reps, procs=procs, rounds=rounds, queue=backend))
-        else:
-            results.extend(_interleaved(name, fn, shape, backends, reps))
+        procs, rounds = quick_shape if quick else full_shape
+        results.append(measure(
+            name, lambda fn=fn, p=procs, r=rounds: fn(p, r),
+            repeats=1 if quick else repeats, procs=procs, rounds=rounds))
     return results

@@ -94,14 +94,12 @@ def measure(name: str, fn: Callable[[], int], repeats: int = 3,
 
 def suite_document(suite: str, results: List[BenchResult],
                    quick: bool) -> dict:
-    from ..sim.queues import resolve_backend
     return {
         "suite": suite,
         "quick": quick,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
-        "queue_backend": resolve_backend(),
         "benchmarks": [result.to_json() for result in results],
     }
 
@@ -157,15 +155,11 @@ def worst_events_ratio(rows: List[dict]) -> Optional[float]:
     return min(ratios) if ratios else None
 
 
-def render_comparison(rows: List[dict],
-                      queue_backend: Optional[str] = None) -> str:
+def render_comparison(rows: List[dict]) -> str:
     if not rows:
         return "no overlapping benchmarks to compare"
-    lines = []
-    if queue_backend:
-        lines.append(f"queue backend: {queue_backend}")
-    lines.append(f"{'benchmark':<24} {'base wall':>10} {'now wall':>10} "
-                 f"{'speedup':>8} {'ev/s ratio':>10} {'rss delta':>10}")
+    lines = [f"{'benchmark':<24} {'base wall':>10} {'now wall':>10} "
+             f"{'speedup':>8} {'ev/s ratio':>10} {'rss delta':>10}"]
     for row in rows:
         delta = row.get("peak_rss_delta_kb")
         rss = f"{delta:>+9,}K" if delta is not None else " " * 10

@@ -102,7 +102,6 @@ class SweepRequest:
     tasks: Optional[Tuple[str, ...]] = None
     scale: float = DEFAULT_SCALE
     out_dir: str = "results"
-    queue: Optional[str] = None
     extra: Dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -116,9 +115,6 @@ class SweepRequest:
             if unknown:
                 raise ValueError(
                     f"unknown tasks: {', '.join(sorted(unknown))}")
-        if self.queue is not None:
-            from ..sim.queues import resolve_backend
-            resolve_backend(self.queue)
         if self.sizes is not None:
             object.__setattr__(self, "sizes", tuple(self.sizes))
         if self.tasks is not None:
@@ -132,13 +128,11 @@ class SweepRequest:
             out["sizes"] = list(self.sizes)
         if self.tasks is not None:
             out["tasks"] = list(self.tasks)
-        if self.queue is not None:
-            out["queue"] = self.queue
         return out
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SweepRequest":
-        known = {"figure", "sizes", "tasks", "scale", "out_dir", "queue"}
+        known = {"figure", "sizes", "tasks", "scale", "out_dir"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
@@ -167,16 +161,12 @@ class SweepRequest:
                 "scale": self.scale, "out_dir": self.out_dir}
         if self.tasks:
             meta["tasks"] = list(self.tasks)
-        if self.queue is not None:
-            meta["queue"] = self.queue
         return meta
 
     def _driver_kwargs(self) -> Dict:
         kwargs: Dict = {"sizes": self.resolved_sizes, "scale": self.scale}
         if FIGURES[self.figure].takes_tasks:
             kwargs["tasks"] = tuple(self.tasks) if self.tasks else None
-        if self.queue is not None:
-            kwargs["queue"] = self.queue
         return kwargs
 
     def cells(self) -> List[CellSpec]:

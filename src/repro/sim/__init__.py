@@ -11,14 +11,6 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .queues import (
-    DEFAULT_BACKEND,
-    QUEUE_BACKENDS,
-    CalendarQueue,
-    EventQueue,
-    HeapEventQueue,
-    queue_override,
-)
 from .resources import Mutex, ProcessPool, Server, Store
 from .stats import BusyTracker, Counter, StatSet, Tally, TimeWeighted
 from .sampling import Sampler, sparkline
@@ -27,8 +19,6 @@ from .trace import TraceEntry, TraceLog
 __all__ = [
     "Simulator", "Event", "Timeout", "Process", "AllOf", "AnyOf",
     "Interrupt", "SimulationError", "SimStalled",
-    "EventQueue", "HeapEventQueue", "CalendarQueue",
-    "QUEUE_BACKENDS", "DEFAULT_BACKEND", "queue_override",
     "Server", "Mutex", "Store", "ProcessPool",
     "Counter", "Tally", "TimeWeighted", "BusyTracker", "StatSet",
     "TraceLog", "TraceEntry", "Sampler", "sparkline",

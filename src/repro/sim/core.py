@@ -28,10 +28,9 @@ Example
 from __future__ import annotations
 
 import itertools
-from heapq import heappop
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from .queues import make_queue
 
 __all__ = [
     "Simulator",
@@ -44,6 +43,8 @@ __all__ = [
     "SimulationError",
     "SimStalled",
 ]
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -411,14 +412,9 @@ class Simulator:
     trace:
         Optional callable ``trace(time, event)`` invoked for every event
         processed — useful for debugging simulations.
-    queue:
-        Event-queue backend: a registered name (``"heap"``,
-        ``"calendar"``), an :class:`~repro.sim.queues.EventQueue`
-        instance, or ``None`` to resolve via
-        :func:`~repro.sim.queues.queue_override` /
-        ``REPRO_SIM_QUEUE`` / the default. Every backend pops in the
-        same global ``(time, seq)`` order, so results are byte-identical
-        across backends; only the run loop's shape differs.
+    debug:
+        Run every event through :meth:`step` (the instrumented loop)
+        even with no trace installed.
 
     Attributes
     ----------
@@ -435,7 +431,7 @@ class Simulator:
     """
 
     def __init__(self, trace: Optional[Callable[[float, Event], None]] = None,
-                 debug: bool = False, queue=None):
+                 debug: bool = False):
         from ..faults import NULL_FAULTS
         from ..invariants import NULL_INVARIANTS
         from ..telemetry import NULL_TELEMETRY
@@ -444,12 +440,13 @@ class Simulator:
         # CPython 3.11 the list freelist makes the push/pop cycle
         # measurably faster (timeout_storm best-of-5: 0.211s vs 0.219s
         # with tuples, ~3.5%); comparison cost is identical since the
-        # seq tie-break means element two is never reached.
-        self._queue = make_queue(queue)
-        # Bound push cached once: every schedule site pays one attribute
-        # load instead of re-resolving the backend per event. For the
-        # heap backend this is the C-level partial(heappush, entries).
-        self._push = self._queue.push
+        # seq tie-break means element two is never reached. The seq
+        # gives FIFO order among same-tick events, which is what makes
+        # every run byte-reproducible.
+        self._queue: List[List[Any]] = []
+        # Every schedule site pushes through this C-level partial: one
+        # attribute load and one C call per event.
+        self._push = partial(heappush, self._queue)
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
         self._trace = trace
@@ -464,20 +461,11 @@ class Simulator:
         # pause() timeouts, returned here by the fast run loop.
         self._relay_pool: List[Event] = []
         self._timeout_pool: List[Timeout] = []
-        # In-flight dispatch batch (batched backends only): same-tick
-        # entries already popped but not yet all dispatched, which
-        # peek() must still report as pending.
-        self._batch: Optional[List[Any]] = None
 
     @property
     def debug(self) -> bool:
-        """True when :meth:`run` uses the checked per-event loop."""
+        """True when :meth:`run` uses the instrumented per-event loop."""
         return self._debug or self._trace is not None
-
-    @property
-    def queue_backend(self) -> str:
-        """Registry name of the event-queue backend in use."""
-        return self._queue.name
 
     # -- lifecycle hooks ---------------------------------------------------
     def add_hook(self, hook: Any) -> None:
@@ -591,37 +579,30 @@ class Simulator:
         self._push([self._now + delay, next(self._counter), event])
 
     def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if none).
-
-        During batched dispatch the same-tick batch has already been
-        popped from the queue; its undispatched remainder is still
-        *scheduled* as far as callers are concerned (the per-event loop
-        would have it in the heap), so peek() reports the current tick
-        while any batch entry is still pending. The last entry's event
-        keeps its callbacks list until it is dispatched, which makes
-        that check free for the hot loop.
-        """
-        batch = self._batch
-        if batch is not None and batch[-1][2].callbacks is not None:
-            return self._now
-        return self._queue.peek_time()
+        """Time of the next scheduled event (``inf`` if none)."""
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
-        """Process exactly one event (the checked, debuggable path).
+        """Process exactly one event (the instrumented, debuggable path).
 
         This is the slow-path twin of the inlined loop in
-        :meth:`_run_fast`: it validates event times, feeds the trace
-        callback and leaves processed events un-recycled so they stay
-        inspectable. :meth:`run` uses it (via
-        :func:`repro.sim.debug.run_checked`) whenever a trace is
-        installed or ``debug=True``; manual single-stepping always goes
-        through here.
+        :meth:`_run_fast`. It feeds the trace callback, calls the armed
+        invariant auditor's per-event hook and leaves processed events
+        un-recycled so they stay inspectable. :meth:`run` loops over it
+        whenever a trace is installed, ``debug=True`` or an auditor is
+        armed; manual single-stepping always goes through here.
         """
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError(
                 "step() on an empty event queue: nothing is scheduled "
                 "(use run(), or schedule an event first)")
-        when, _, event = self._queue.pop()
+        when, _, event = heappop(queue)
+        if self.invariants.enabled:
+            # Before the past-time check below, so an armed run reports
+            # a kernel breach as a structured violation.
+            self.invariants.kernel_event(when, event)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -634,25 +615,17 @@ class Simulator:
         if not event._ok and not event._defused:
             raise event.value
 
-    def _run_fast(self, until: Optional[float]) -> None:
+    def _run_fast(self, until: float) -> None:
         """The hot loop: pop / advance clock / fire callbacks.
 
         The past-time assertion matches :meth:`step` (same exception
         class and message for the same defect in either loop); the
-        trace hook lives only in :meth:`step`, selected once per
-        :meth:`run` call instead of being re-tested per event. Pooled
-        relay/pause events are recycled here the moment their callbacks
-        have run.
-
-        Batched backends (``queue.batched``) dispatch through
-        :meth:`_run_batched`, which drains one timestamp per inner
-        loop; the heap reference backend keeps the historical per-event
-        loop below, operating directly on its raw entry list.
+        trace and auditor hooks live only in :meth:`step`, selected once
+        per :meth:`run` call instead of being re-tested per event.
+        Pooled relay/pause events are recycled here the moment their
+        callbacks have run.
         """
-        if self._queue.batched:
-            self._run_batched(until)
-            return
-        queue = self._queue.entries
+        queue = self._queue
         pop = heappop
         relay_pool = self._relay_pool
         timeout_pool = self._timeout_pool
@@ -660,193 +633,41 @@ class Simulator:
         now = self._now
         count = 0
         try:
-            if until is None:
-                while queue:
-                    when, _, event = pop(queue)
-                    if when < now:
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event.value
-                    if event._pooled:
-                        # Recycle fully reset: reuse in pause()/_relay()
-                        # is then a bare pop (the hotter side of the
-                        # cycle), and the callbacks list is reused too.
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        if event.__class__ is timeout_cls:
-                            timeout_pool.append(event)
-                        else:
-                            event.value = None
-                            event._ok = True
-                            event._defused = False
-                            relay_pool.append(event)
-                if self._alive:
-                    raise SimStalled(sorted(p.name for p in self._alive))
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        break
-                    when, _, event = pop(queue)
-                    if when < now:
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event.value
-                    if event._pooled:
-                        # Recycle fully reset: reuse in pause()/_relay()
-                        # is then a bare pop (the hotter side of the
-                        # cycle), and the callbacks list is reused too.
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        if event.__class__ is timeout_cls:
-                            timeout_pool.append(event)
-                        else:
-                            event.value = None
-                            event._ok = True
-                            event._defused = False
-                            relay_pool.append(event)
-                self._now = until
+            while queue and queue[0][0] <= until:
+                when, _, event = pop(queue)
+                if when < now:
+                    raise SimulationError("event scheduled in the past")
+                self._now = now = when
+                count += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event.value
+                if event._pooled:
+                    # Recycle fully reset: reuse in pause()/_relay() is
+                    # then a bare pop (the hotter side of the cycle),
+                    # and the callbacks list is reused too.
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    if event.__class__ is timeout_cls:
+                        timeout_pool.append(event)
+                    else:
+                        event.value = None
+                        event._ok = True
+                        event._defused = False
+                        relay_pool.append(event)
         finally:
-            self.event_count += count
-
-    def _run_batched(self, until: Optional[float]) -> None:
-        """Same-tick batch dispatch for batched queue backends.
-
-        Each ``pop_batch`` returns every pending event at the earliest
-        timestamp, in seq (schedule) order, so the clock advance and
-        the past-time check are paid once per *timestamp* instead of
-        once per event. Events scheduled at the current tick during
-        dispatch get higher seqs and form the next batch at the same
-        time — exactly the order the per-event heap loop produces. If
-        dispatch raises mid-batch, the unprocessed remainder is pushed
-        back (original entries, original seqs) so the queue is left in
-        the same state the per-event loop would leave it.
-        """
-        queue = self._queue
-        pop_batch = queue.pop_batch
-        push = queue.push
-        relay_pool = self._relay_pool
-        timeout_pool = self._timeout_pool
-        timeout_cls = Timeout
-        now = self._now
-        count = 0
-        try:
-            if until is None:
-                while True:
-                    batch = pop_batch()
-                    if batch is None:
-                        break
-                    when = batch[0][0]
-                    if when < now:
-                        for entry in batch[1:]:
-                            push(entry)
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    self._batch = batch
-                    n = len(batch)
-                    count += n
-                    i = 0
-                    try:
-                        while i < n:
-                            event = batch[i][2]
-                            i += 1
-                            callbacks = event.callbacks
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            if not event._ok and not event._defused:
-                                raise event.value
-                            if event._pooled:
-                                # Recycle fully reset (see _run_fast).
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                if event.__class__ is timeout_cls:
-                                    timeout_pool.append(event)
-                                else:
-                                    event.value = None
-                                    event._ok = True
-                                    event._defused = False
-                                    relay_pool.append(event)
-                    except BaseException:
-                        # The reference loop counts only dispatched
-                        # events; unwind the pre-count for the
-                        # requeued remainder.
-                        count -= n - i
-                        for entry in batch[i:]:
-                            push(entry)
-                        raise
-                if self._alive:
-                    raise SimStalled(sorted(p.name for p in self._alive))
-            else:
-                peek = queue.peek_time
-                while True:
-                    when = peek()
-                    if when > until:
-                        break
-                    batch = pop_batch()
-                    if when < now:
-                        for entry in batch[1:]:
-                            push(entry)
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    self._batch = batch
-                    n = len(batch)
-                    count += n
-                    i = 0
-                    try:
-                        while i < n:
-                            event = batch[i][2]
-                            i += 1
-                            callbacks = event.callbacks
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            if not event._ok and not event._defused:
-                                raise event.value
-                            if event._pooled:
-                                # Recycle fully reset (see _run_fast).
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                if event.__class__ is timeout_cls:
-                                    timeout_pool.append(event)
-                                else:
-                                    event.value = None
-                                    event._ok = True
-                                    event._defused = False
-                                    relay_pool.append(event)
-                    except BaseException:
-                        # The reference loop counts only dispatched
-                        # events; unwind the pre-count for the
-                        # requeued remainder.
-                        count -= n - i
-                        for entry in batch[i:]:
-                            push(entry)
-                        raise
-                self._now = until
-        finally:
-            self._batch = None
             self.event_count += count
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock reaches ``until``.
 
-        With a trace installed or ``debug=True`` the run goes through
-        the checked per-event loop (see :mod:`repro.sim.debug`); with
-        an armed :class:`~repro.invariants.InvariantAuditor` installed
-        it goes through the audited loop (see
-        :mod:`repro.invariants.kernel`); otherwise the inlined fast
-        loop processes events with the per-event checks hoisted out.
+        With a trace installed, ``debug=True`` or an armed
+        :class:`~repro.invariants.InvariantAuditor` installed, every
+        event goes through :meth:`step`; otherwise the inlined fast
+        loop processes events with the per-event hooks hoisted out.
 
         Raises
         ------
@@ -860,15 +681,20 @@ class Simulator:
         if until is not None and until < self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})")
+        limit = _INF if until is None else until
         self._notify("run_started")
         try:
-            if self._debug or self._trace is not None:
-                from .debug import run_checked
-                run_checked(self, until)
-            elif self.invariants.enabled:
-                from ..invariants.kernel import run_audited
-                run_audited(self, until)
+            if self.debug or self.invariants.enabled:
+                queue = self._queue
+                step = self.step
+                while queue and queue[0][0] <= limit:
+                    step()
             else:
-                self._run_fast(until)
+                self._run_fast(limit)
+            if until is None:
+                if self._alive:
+                    raise SimStalled(sorted(p.name for p in self._alive))
+            else:
+                self._now = until
         finally:
             self._notify("run_finished")

@@ -42,8 +42,7 @@ DEFAULT_TRAFFIC_SIZES: Tuple[int, ...] = (16, 64)
 DEFAULT_SESSIONS = 1500
 
 
-def traffic_cell(tconfig: TrafficConfig,
-                 queue: Optional[str] = None) -> CellSpec:
+def traffic_cell(tconfig: TrafficConfig) -> CellSpec:
     """Wrap a traffic configuration as a sweep cell.
 
     The variant encodes (load, policy) so keys stay unique across a
@@ -52,7 +51,7 @@ def traffic_cell(tconfig: TrafficConfig,
     return CellSpec(
         task="traffic", arch=tconfig.arch, num_disks=tconfig.num_disks,
         variant=f"load{tconfig.load:g}+{tconfig.policy}",
-        scale=tconfig.scale, traffic=tconfig.to_dict(), queue=queue)
+        scale=tconfig.scale, traffic=tconfig.to_dict())
 
 
 def run_traffic_cell(spec: CellSpec) -> RunResult:
@@ -79,8 +78,7 @@ def run_traffic_figure(sizes: Sequence[int] = DEFAULT_TRAFFIC_SIZES,
                        tenants: int = 4,
                        tenant_theta: float = 1.0,
                        task_theta: float = 0.5,
-                       deadline_factor: float = 8.0,
-                       queue: Optional[str] = None) -> TrafficFigure:
+                       deadline_factor: float = 8.0) -> TrafficFigure:
     """The saturation-curve grid: archs x sizes x offered loads."""
     grid: Dict[tuple, CellSpec] = {}
     for arch in archs:
@@ -93,8 +91,7 @@ def run_traffic_figure(sizes: Sequence[int] = DEFAULT_TRAFFIC_SIZES,
                     tenant_theta=tenant_theta, task_theta=task_theta,
                     tasks=tuple(tasks) if tasks else (), scale=scale,
                     deadline_factor=deadline_factor)
-                grid[(arch, size, load, policy)] = traffic_cell(
-                    tconfig, queue=queue)
+                grid[(arch, size, load, policy)] = traffic_cell(tconfig)
     results = execute_cells(list(grid.values()), runner)
     points = {point: results[spec.key].extras
               for point, spec in grid.items()}

@@ -192,10 +192,69 @@ class TestFailureContainment:
         assert registry.counter("harness.retries").value == 1
 
 
+class _LateFirstPoll:
+    """A pool pipe end whose first ``poll()`` runs just before the
+    worker sends its result and exits: it waits for the worker to finish
+    but reports no data, as a real poll racing the exit would."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.proc = None
+        self._polled = False
+
+    def poll(self, timeout=0.0):
+        if not self._polled:
+            self._polled = True
+            self.proc.join()
+            return False
+        return self._conn.poll(timeout)
+
+    def recv(self):
+        return self._conn.recv()
+
+    def fileno(self):
+        return self._conn.fileno()
+
+    def close(self):
+        self._conn.close()
+
+
+class _LatePollContext:
+    """A multiprocessing context stand-in handing out late-poll pipes."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self._parent = None
+
+    def Pipe(self, duplex=True):
+        parent, child = self._ctx.Pipe(duplex=duplex)
+        self._parent = _LateFirstPoll(parent)
+        return self._parent, child
+
+    def Process(self, **kwargs):
+        proc = self._ctx.Process(**kwargs)
+        self._parent.proc = proc
+        return proc
+
+
 @pytest.mark.skipif("fork" not in __import__("multiprocessing")
                     .get_all_start_methods(),
                     reason="fork start method required")
 class TestProcessIsolation:
+    def test_result_sent_just_before_exit_is_kept(self, monkeypatch):
+        # The worker sends its result and exits between the supervisor's
+        # poll and its liveness check; the result must still count.
+        import repro.experiments.workers as workers_mod
+        ctx = workers_mod._mp_context("fork")
+        monkeypatch.setattr(workers_mod, "_mp_context",
+                            lambda name=None: _LatePollContext(ctx))
+        outcomes = run_cells(SPECS[:2], jobs=2, retries=0)
+        assert [o.status for o in outcomes] == ["done", "done"]
+        assert all(o.attempts == 1 for o in outcomes)
+        inline = _uninterrupted_results()
+        assert {o.key: o.result for o in outcomes} == {
+            key: inline[key] for key in (SPECS[0].key, SPECS[1].key)}
+
     def test_parallel_pool_matches_inline(self):
         inline = _uninterrupted_results()
         outcomes = run_cells(SPECS, jobs=3, mp_context="fork")

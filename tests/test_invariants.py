@@ -2,10 +2,11 @@
 
 Four concerns:
 
-* **Loop parity** — the fast, checked and audited kernel loops raise the
-  same errors for the same defects (same class and message for fast vs
-  checked; the audited loop upgrades kernel breaches to structured
-  violations) and produce bit-identical simulations.
+* **Loop parity** — the fast loop and the instrumented loop, run
+  checked or armed, raise the same errors for the same defects (same
+  class and message for fast vs checked; an armed run upgrades kernel
+  breaches to structured violations) and produce bit-identical
+  simulations.
 * **Deliberate corruption** — each auditor actually fires: a dropped or
   duplicated chunk breaks the drive's byte ledger, a double completion
   breaks request lifecycle, a scratch overdraw breaks the DiskOS memory
@@ -14,9 +15,10 @@ Four concerns:
   violation carries an accurate expected-vs-observed ledger.
 * **Armed-is-free** — arming every auditor changes no simulation result,
   up to and including regenerating Figure 1 byte-identically.
-* **Differential fuzzing** — the seeded fuzz batch runs fast-audited vs
-  checked on random small cells across all three architectures (with
-  fault plans) and diffs the serialized results exactly.
+* **Differential fuzzing** — the seeded fuzz batch runs armed vs
+  disarmed (instrumented vs fast loop) on random small cells across all
+  three architectures (with fault plans) and diffs the serialized
+  results exactly.
 """
 
 from types import SimpleNamespace
@@ -63,7 +65,7 @@ def push_past_event(sim, at: float):
     from repro.sim.core import Event
     event = Event(sim)
     event._triggered = True
-    sim._queue.push([at, next(sim._counter), event])
+    sim._push([at, next(sim._counter), event])
 
 
 class TestLoopParity:
@@ -384,7 +386,7 @@ class TestViolationRouting:
 
 
 class TestDifferentialFuzz:
-    """The seeded batch: fast-audited vs checked, diffed exactly."""
+    """The seeded batch: armed vs disarmed, diffed exactly."""
 
     def test_batch_is_deterministic_and_covers_the_space(self):
         from repro.invariants.fuzz import FUZZ_ARCHS, fuzz_cells
@@ -412,11 +414,11 @@ class TestDifferentialFuzz:
     def test_divergence_is_reported(self, monkeypatch):
         from repro.invariants import fuzz
 
-        def fake_run_cell(spec, invariants=None, debug=False):
+        def fake_run_cell(spec, invariants=None):
             result = run_cell(
                 CellSpec(task="select", arch="cluster", num_disks=2,
                          scale=SMALL))
-            if debug:
+            if invariants is None:
                 result.elapsed += 1e-9   # the loops disagree
             return result
 
@@ -436,7 +438,7 @@ class TestDifferentialFuzz:
         assert outcome.violation["observed"] == {"bytes_read": 4096}
 
 
-def _violating_cell_kw(spec, invariants=None, debug=False):
+def _violating_cell_kw(spec, invariants=None):
     return _violating_cell(spec)
 
 
