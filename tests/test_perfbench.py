@@ -138,9 +138,9 @@ class TestIdentityGuard:
         with pytest.raises(IdentityDrift, match="drifted"):
             fig1_identity_check(quick=True)
 
-    def test_quick_identity_holds(self):
+    def test_quick_identity_holds(self, quick_fig1_identity):
         # The real thing: regenerate the 16-disk column and byte-compare
         # against results/fig1_arch_comparison.csv.
-        report = fig1_identity_check(quick=True)
+        report = quick_fig1_identity
         assert report["identical"] is True
         assert report["cells"] == 24
