@@ -1,11 +1,12 @@
 """The resilient sweep harness: journaled, resumable, signal-safe sweeps.
 
 :class:`SweepRunner` ties the pieces together: it folds an existing
-:class:`~repro.experiments.journal.SweepJournal` to skip completed cells
-(reloading their cached results bit-identically), hands the incomplete
-cells to the :mod:`~repro.experiments.workers` pool (process isolation,
-timeouts, retries, quarantine), journals every state transition as it
-happens, and converts SIGINT/SIGTERM into a clean shutdown: live workers
+:class:`~repro.experiments.journal.SweepJournal` into a
+:class:`~repro.experiments.lifecycle.CellLedger` (which reloads
+completed cells bit-identically, and journals every later transition
+and applies the retry and quarantine rules), hands the incomplete cells
+to the :mod:`~repro.experiments.workers` executors (process isolation,
+timeouts), and converts SIGINT/SIGTERM into a clean shutdown: live workers
 are terminated, the journal is flushed, and a one-line
 ``repro resume <journal>`` hint is printed before
 :class:`SweepInterrupted` propagates.
@@ -33,9 +34,10 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..arch import RunResult
-from .artifacts import result_from_dict, result_to_dict
+from .artifacts import result_from_dict
 from .journal import SweepJournal
-from .workers import CellOutcome, CellSpec, run_cell, run_cells
+from .lifecycle import CellLedger
+from .workers import CellOutcome, CellSpec, run_cell, run_ledger
 
 __all__ = ["SweepRunner", "SweepInterrupted", "execute_cells",
            "resume_sweep"]
@@ -43,6 +45,10 @@ __all__ = ["SweepRunner", "SweepInterrupted", "execute_cells",
 #: Counter names every runner tracks (and mirrors into telemetry).
 COUNTERS = ("scheduled", "resumed_cells", "completed", "retries",
             "timeouts", "crashes", "violations", "ooms", "quarantined")
+
+#: The counter each failure kind bumps ("error" bumps none).
+_KIND_COUNTERS = {"timeout": "timeouts", "crashed": "crashes",
+                  "violation": "violations", "oom": "ooms"}
 
 
 class SweepInterrupted(Exception):
@@ -64,7 +70,6 @@ class SweepRunner:
                  strict: bool = True,
                  telemetry=None,
                  meta: Optional[Dict] = None,
-                 mp_context: Optional[str] = None,
                  memory_budget_mb: Optional[int] = None):
         self.journal_path = journal_path
         self.jobs = jobs
@@ -74,7 +79,6 @@ class SweepRunner:
         self.strict = strict
         self.telemetry = telemetry
         self.meta = dict(meta or {})
-        self.mp_context = mp_context
         self.memory_budget_mb = memory_budget_mb
         self.counters: Dict[str, int] = {name: 0 for name in COUNTERS}
         self.quarantined: List[CellOutcome] = []
@@ -84,6 +88,15 @@ class SweepRunner:
         self.counters[name] += amount
         if self.telemetry is not None:
             self.telemetry.registry.counter(f"harness.{name}").add(amount)
+
+    def _started(self, spec: CellSpec, attempt: int) -> None:
+        if attempt > 0:
+            self._count("retries")
+
+    def _attempt_failed(self, spec: CellSpec, attempt: int, error: str,
+                        kind: str) -> None:
+        if kind in _KIND_COUNTERS:
+            self._count(_KIND_COUNTERS[kind])
 
     # ------------------------------------------------------------- run
     def run(self, specs: Sequence[CellSpec],
@@ -97,85 +110,34 @@ class SweepRunner:
         Raises :class:`SweepInterrupted` on SIGINT/SIGTERM, and — when
         ``strict`` — ``RuntimeError`` if any cell ended quarantined.
         """
-        seen = set()
-        for spec in specs:
-            if spec.key in seen:
-                raise ValueError(f"duplicate sweep cell key {spec.key!r}")
-            seen.add(spec.key)
-
         journal = (SweepJournal.load(self.journal_path)
                    if self.journal_path else None)
         results: Dict[str, RunResult] = {}
-        todo: List[CellSpec] = []
-        if journal is not None and self.meta and not journal.meta:
-            journal.note_sweep(self.meta)
-        for spec in specs:
-            state = journal.cells.get(spec.key) if journal else None
-            if (state is not None and state.status == "done"
-                    and state.config_hash == spec.config_hash()
-                    and state.result is not None):
-                results[spec.key] = result_from_dict(state.result)
-                self._count("resumed_cells")
-                continue
-            todo.append(spec)
-            if journal is not None and (
-                    state is None
-                    or state.config_hash != spec.config_hash()):
-                journal.note_cell(spec.key, "pending",
-                                  spec=spec.to_dict(),
-                                  config_hash=spec.config_hash())
-        self._count("scheduled", len(todo))
-
-        def on_start(spec: CellSpec, attempt: int) -> None:
-            if journal is not None:
-                journal.note_cell(spec.key, "running", attempt=attempt)
-            if attempt > 0:
-                self._count("retries")
-
-        def on_attempt_failed(spec: CellSpec, attempt: int,
-                              error: str, kind: str) -> None:
-            if journal is not None:
-                journal.note_cell(spec.key, "failed", attempt=attempt,
-                                  error=_last_line(error))
-            if kind == "timeout":
-                self._count("timeouts")
-            elif kind == "crashed":
-                self._count("crashes")
-            elif kind == "violation":
-                self._count("violations")
-            elif kind == "oom":
-                self._count("ooms")
 
         def on_outcome(outcome: CellOutcome) -> None:
             if outcome.status == "done":
                 results[outcome.key] = outcome.result
                 self._count("completed")
-                if journal is not None:
-                    journal.note_cell(
-                        outcome.key, "done", attempt=outcome.attempts - 1,
-                        result=result_to_dict(outcome.result))
             else:
                 self.quarantined.append(outcome)
                 self._count("quarantined")
-                if journal is not None:
-                    journal.note_cell(
-                        outcome.key, "quarantined",
-                        attempt=outcome.attempts - 1,
-                        error=_last_line(outcome.error or ""),
-                        violation=outcome.violation,
-                        oom=outcome.oom or None)
             if after_cell is not None:
                 after_cell(outcome)
 
+        ledger = CellLedger(specs, journal, retries=self.retries,
+                            backoff=self.backoff, meta=self.meta,
+                            on_start=self._started,
+                            on_attempt_failed=self._attempt_failed,
+                            on_outcome=on_outcome)
+        for key, result in ledger.resumed.items():
+            results[key] = result_from_dict(result)
+        if ledger.resumed:
+            self._count("resumed_cells", len(ledger.resumed))
+        self._count("scheduled", len(ledger.queue))
         try:
             with _signal_shield():
-                run_cells(todo, jobs=self.jobs, timeout=self.timeout,
-                          retries=self.retries, backoff=self.backoff,
-                          on_start=on_start,
-                          on_attempt_failed=on_attempt_failed,
-                          on_outcome=on_outcome,
-                          mp_context=self.mp_context,
-                          memory_budget_mb=self.memory_budget_mb)
+                run_ledger(ledger, jobs=self.jobs, timeout=self.timeout,
+                           memory_budget_mb=self.memory_budget_mb)
         except (KeyboardInterrupt, SweepInterrupted) as exc:
             if journal is not None:
                 journal.close()
@@ -221,13 +183,6 @@ class _signal_shield:
         if self._previous is not None:
             signal.signal(signal.SIGTERM, self._previous)
         return False
-
-
-def _last_line(text: str) -> str:
-    """The most informative single line of a traceback blob."""
-    lines = [line.strip() for line in text.strip().splitlines()
-             if line.strip()]
-    return lines[-1] if lines else ""
 
 
 def execute_cells(specs: Sequence[CellSpec],

@@ -1,17 +1,12 @@
 """The sweep journal: an append-only JSONL record of sweep progress.
 
-Every cell of a sweep moves through a tiny state machine —
-
-    pending -> running -> done
-                       -> failed (attempt n; retried)
-                       -> quarantined (retries exhausted; sweep continues)
-
-— and the journal records each transition as one JSON line, flushed and
-fsync'd at the moment it happens. Because the file is append-only and
-every line is self-contained, a journal is valid after *any* crash: a
-torn final line (the write the crash interrupted) is detected and
-ignored on load, and the fold over the surviving lines reconstructs the
-exact sweep state.
+Every cell of a sweep moves through the state machine of
+:mod:`repro.experiments.lifecycle`, and the journal records each
+transition as one JSON line, flushed and fsync'd at the moment it
+happens. Because the file is append-only and every line is
+self-contained, a journal is valid after *any* crash: a torn final line
+(the write the crash interrupted) is detected and ignored on load, and
+the fold over the surviving lines reconstructs the exact sweep state.
 
 ``pending`` records carry the cell's full :class:`CellSpec` encoding and
 a hash of the configuration it implies, so a journal alone is enough to

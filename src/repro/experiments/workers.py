@@ -12,9 +12,10 @@ exact code path the figure drivers always had, so default results stay
 byte-identical. With ``jobs > 1`` (or a timeout) each simulation runs in
 its own subprocess, so a crash (segfault, OOM kill) or a hang in one
 pathological configuration is contained: the supervisor reaps the
-worker, retries with exponential backoff up to ``retries`` times, and
-finally *quarantines* the cell and moves on rather than sinking the
-sweep.
+worker and reports the failed attempt to the cell's
+:class:`~repro.experiments.lifecycle.CellLedger`, which retries it with
+exponential backoff up to ``retries`` times and finally *quarantines*
+the cell rather than sinking the sweep.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..arch import RunResult
 from .artifacts import result_from_dict, result_to_dict
+from .lifecycle import CellLedger, CellOutcome
 
-__all__ = ["CellSpec", "CellOutcome", "run_cells", "run_cell",
+__all__ = ["CellSpec", "CellOutcome", "run_cells", "run_ledger", "run_cell",
            "build_config", "drain_pool"]
 
 #: Named drive models a spec may reference (JSON-friendly indirection).
@@ -145,24 +146,6 @@ def run_cell(spec: CellSpec, invariants=None) -> RunResult:
             seed=spec.fault_seed)
     return run_task(build_config(spec), spec.task, spec.scale,
                     fault_plan=fault_plan, invariants=invariants)
-
-
-@dataclass
-class CellOutcome:
-    """Terminal outcome of one cell after all attempts."""
-
-    spec: CellSpec
-    status: str                     # "done" | "quarantined"
-    attempts: int
-    result: Optional[RunResult] = None
-    error: Optional[str] = None
-    violation: Optional[Dict] = None
-    oom: bool = False               # quarantined for busting a memory budget
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def key(self) -> str:
-        return self.spec.key
 
 
 # ----------------------------------------------------------- subprocess
@@ -304,138 +287,88 @@ def run_cells(specs: Sequence[CellSpec], *,
     ``on_attempt_failed(spec, attempt, error, kind)`` when one fails
     (``kind`` is ``"error"``, ``"timeout"``, ``"crashed"``,
     ``"violation"`` or ``"oom"``), and ``on_outcome(outcome)`` once per
-    cell at its terminal state. An
-    :class:`~repro.invariants.InvariantViolation` is deterministic —
-    the cell is quarantined immediately, with the violation's
-    structured ledger on the outcome, instead of burning retries on a
-    modelling defect. ``memory_budget_mb`` caps each cell's address
-    space (RLIMIT_AS, POSIX only) and forces subprocess isolation even
-    at ``jobs=1``; a cell that busts the budget raises a trapped
-    ``MemoryError`` in its own process and is quarantined as ``oom`` —
-    rerunning the same deterministic simulation into the same budget
-    would allocate the same bytes, so retrying is as pointless as for
-    a violation, and the worker host stays up.
-    ``KeyboardInterrupt`` (and the SIGTERM handler that re-raises as
-    one) propagates out of this function after every live worker has
-    been terminated — no orphan processes.
+    cell at its terminal state. Retries, backoff and the immediate
+    quarantine of a deterministic ``violation`` or ``oom`` are the
+    :class:`~repro.experiments.lifecycle.CellLedger`'s rules; this
+    builds an unjournaled ledger and hands it to :func:`run_ledger`.
+    """
+    ledger = CellLedger(specs, retries=retries, backoff=backoff,
+                        on_start=on_start,
+                        on_attempt_failed=on_attempt_failed,
+                        on_outcome=on_outcome)
+    return run_ledger(ledger, jobs=jobs, timeout=timeout, cell_fn=cell_fn,
+                      mp_context=mp_context,
+                      memory_budget_mb=memory_budget_mb)
+
+
+def run_ledger(ledger: CellLedger, *,
+               jobs: int = 1,
+               timeout: Optional[float] = None,
+               cell_fn: Callable[[CellSpec], RunResult] = run_cell,
+               mp_context: Optional[str] = None,
+               memory_budget_mb: Optional[int] = None,
+               ) -> List[CellOutcome]:
+    """Run ``ledger``'s queued cells to terminal states; its outcomes.
+
+    With ``jobs == 1``, no timeout and no memory budget, cells run
+    inline. Otherwise each attempt runs in its own subprocess, and
+    ``memory_budget_mb`` caps its address space (RLIMIT_AS, POSIX
+    only): a cell that busts it fails as ``oom`` while the host stays
+    up. ``KeyboardInterrupt`` (and SIGTERM re-raised as one) propagates
+    only after every live worker is terminated — no orphans.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive, got {timeout}")
     if memory_budget_mb is not None and memory_budget_mb < 1:
         raise ValueError(
             f"memory budget must be >= 1 MB, got {memory_budget_mb}")
-    isolate = jobs > 1 or timeout is not None or memory_budget_mb is not None
-    if not isolate:
-        return _run_inline(specs, retries=retries, backoff=backoff,
-                           cell_fn=cell_fn, on_start=on_start,
-                           on_attempt_failed=on_attempt_failed,
-                           on_outcome=on_outcome)
-    return _run_pool(specs, jobs=jobs, timeout=timeout, retries=retries,
-                     backoff=backoff, cell_fn=cell_fn, on_start=on_start,
-                     on_attempt_failed=on_attempt_failed,
-                     on_outcome=on_outcome, mp_context=mp_context,
-                     memory_budget_mb=memory_budget_mb)
+    if jobs > 1 or timeout is not None or memory_budget_mb is not None:
+        _run_pool(ledger, jobs=jobs, timeout=timeout, cell_fn=cell_fn,
+                  mp_context=mp_context, memory_budget_mb=memory_budget_mb)
+    else:
+        _run_inline(ledger, cell_fn)
+    return ledger.outcomes
 
 
-def _finish(outcomes: List[CellOutcome], outcome: CellOutcome,
-            on_outcome) -> None:
-    outcomes.append(outcome)
-    if on_outcome is not None:
-        on_outcome(outcome)
-
-
-def _run_inline(specs, *, retries, backoff, cell_fn,
-                on_start, on_attempt_failed, on_outcome):
+def _run_inline(ledger: CellLedger, cell_fn) -> None:
     from ..invariants import InvariantViolation
-    outcomes: List[CellOutcome] = []
-    for spec in specs:
-        failures: List[str] = []
-        for attempt in range(retries + 1):
-            if on_start is not None:
-                on_start(spec, attempt)
-            try:
-                result = cell_fn(spec)
-            except InvariantViolation as violation:
-                error = traceback.format_exc(limit=20)
-                failures.append(error)
-                if on_attempt_failed is not None:
-                    on_attempt_failed(spec, attempt, error, "violation")
-                _finish(outcomes,
-                        CellOutcome(spec, "quarantined", attempt + 1,
-                                    error=error,
-                                    violation=violation.report(),
-                                    failures=failures), on_outcome)
-                break
-            except Exception:
-                error = traceback.format_exc(limit=20)
-                failures.append(error)
-                if on_attempt_failed is not None:
-                    on_attempt_failed(spec, attempt, error, "error")
-                if attempt < retries and backoff > 0:
-                    time.sleep(backoff * (2 ** attempt))
-                continue
-            _finish(outcomes, CellOutcome(spec, "done", attempt + 1,
-                                          result=result,
-                                          failures=failures), on_outcome)
-            break
+    while ledger.queue:
+        started = ledger.start_next()
+        if started is None:     # every queued cell is in a backoff hold
+            time.sleep(0.005)
+            continue
+        spec, attempt = started
+        try:
+            result = cell_fn(spec)
+        except InvariantViolation as violation:
+            ledger.failed(spec.key, attempt, traceback.format_exc(limit=20),
+                          "violation", violation=violation.report())
+        except Exception:
+            ledger.failed(spec.key, attempt, traceback.format_exc(limit=20),
+                          "error")
         else:
-            _finish(outcomes, CellOutcome(spec, "quarantined", retries + 1,
-                                          error=failures[-1],
-                                          failures=failures), on_outcome)
-    return outcomes
+            ledger.done(spec.key, attempt, result)
 
 
-def _run_pool(specs, *, jobs, timeout, retries, backoff, cell_fn,
-              on_start, on_attempt_failed, on_outcome, mp_context,
-              memory_budget_mb=None):
+def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
+              memory_budget_mb) -> None:
     ctx = _mp_context(mp_context)
-    # (spec, attempt, not_before, failures)
-    queue: deque = deque((spec, 0, 0.0, []) for spec in specs)
     running: List[_Running] = []
-    failures_of: Dict[str, List[str]] = {spec.key: [] for spec in specs}
-    outcomes: List[CellOutcome] = []
-
-    def attempt_failed(entry: _Running, error: str, kind: str,
-                       violation: Optional[Dict] = None) -> None:
-        failures = failures_of[entry.spec.key]
-        failures.append(error)
-        if on_attempt_failed is not None:
-            on_attempt_failed(entry.spec, entry.attempt, error, kind)
-        # Violations and budget busts are deterministic: retrying would
-        # replay the identical simulation into the identical failure.
-        if kind not in ("violation", "oom") and entry.attempt < retries:
-            not_before = time.monotonic() + backoff * (2 ** entry.attempt)
-            queue.append((entry.spec, entry.attempt + 1, not_before,
-                          failures))
-        else:
-            _finish(outcomes,
-                    CellOutcome(entry.spec, "quarantined",
-                                entry.attempt + 1, error=error,
-                                violation=violation,
-                                oom=(kind == "oom"),
-                                failures=list(failures)), on_outcome)
-
     try:
-        while queue or running:
+        while ledger.queue or running:
             now = time.monotonic()
             while len(running) < jobs:
-                index = next((i for i, item in enumerate(queue)
-                              if item[2] <= now), None)
-                if index is None:
+                started = ledger.start_next()
+                if started is None:
                     break
-                spec, attempt, _, _ = queue[index]
-                del queue[index]
+                spec, attempt = started
                 parent, child = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(cell_fn, spec.to_dict(), child, memory_budget_mb),
                     name=f"repro-cell-{spec.key}", daemon=True)
-                if on_start is not None:
-                    on_start(spec, attempt)
                 proc.start()
                 child.close()
                 deadline = now + timeout if timeout is not None else None
@@ -449,6 +382,7 @@ def _run_pool(specs, *, jobs, timeout, retries, backoff, cell_fn,
             now = time.monotonic()
             still: List[_Running] = []
             for entry in running:
+                key, attempt = entry.spec.key, entry.attempt
                 ready = entry.conn.poll()
                 dead = not ready and not entry.proc.is_alive()
                 if dead:
@@ -466,37 +400,25 @@ def _run_pool(specs, *, jobs, timeout, retries, backoff, cell_fn,
                     entry.proc.join(1.0)
                     _reap(entry)
                     if kind == "ok":
-                        _finish(outcomes,
-                                CellOutcome(
-                                    entry.spec, "done", entry.attempt + 1,
-                                    result=result_from_dict(payload),
-                                    failures=list(
-                                        failures_of[entry.spec.key])),
-                                on_outcome)
+                        ledger.done(key, attempt, result_from_dict(payload))
                     elif kind == "violation":
-                        attempt_failed(entry, payload["error"], "violation",
-                                       violation=payload["report"])
-                    elif kind == "oom":
-                        attempt_failed(entry, payload, "oom")
-                    elif kind == "error":
-                        attempt_failed(entry, payload, "error")
-                    else:
-                        attempt_failed(entry, payload, "crashed")
+                        ledger.failed(key, attempt, payload["error"], kind,
+                                      violation=payload["report"])
+                    else:   # "error", "oom" or "crashed"
+                        ledger.failed(key, attempt, payload, kind)
                 elif dead:
                     _reap(entry)
-                    attempt_failed(
-                        entry,
-                        f"worker died without a result "
-                        f"(exitcode {entry.proc.exitcode})", "crashed")
+                    ledger.failed(key, attempt,
+                                  f"worker died without a result "
+                                  f"(exitcode {entry.proc.exitcode})",
+                                  "crashed")
                 elif entry.deadline is not None and now > entry.deadline:
                     _reap(entry)
-                    attempt_failed(
-                        entry,
-                        f"cell exceeded {timeout:g}s wall-clock timeout",
-                        "timeout")
+                    ledger.failed(key, attempt,
+                                  f"cell exceeded {timeout:g}s wall-clock "
+                                  f"timeout", "timeout")
                 else:
                     still.append(entry)
             running = still
     finally:
         drain_pool(running)
-    return outcomes

@@ -29,7 +29,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..experiments.artifacts import result_to_dict
 from ..experiments.journal import SweepJournal
+from ..experiments.lifecycle import CellLedger
 from ..experiments.workers import CellSpec, run_cell
 from .auditor import InvariantAuditor
 from .errors import InvariantViolation
@@ -62,6 +64,7 @@ class FuzzOutcome:
     violation: Optional[Dict] = None
     diff: List[str] = field(default_factory=list)
     error: Optional[str] = None
+    result: Optional[object] = None  # the audited RunResult, when "ok"
 
     @property
     def ok(self) -> bool:
@@ -150,33 +153,29 @@ def run_fuzz(cells: Optional[Sequence[CellSpec]] = None, *,
     loop disarmed. The two serialized results must match exactly.
     ``on_cell(outcome)`` fires per terminal cell; with ``journal_path``
     every cell's lifecycle (including any violation report) is journaled
-    through the standard :class:`~repro.experiments.journal.SweepJournal`
-    so ``repro doctor`` can summarize a fuzz run like any sweep.
+    through the standard :class:`~repro.experiments.lifecycle.CellLedger`
+    so ``repro doctor`` can summarize a fuzz run like any sweep, and a
+    cell whose audited result is already journaled counts as ``ok``.
     """
-    from ..experiments.artifacts import result_to_dict
-
     if cells is None:
         cells = fuzz_cells(count=count, seed=seed)
     journal = SweepJournal.load(journal_path) if journal_path else None
-    if journal is not None and not journal.meta:
-        journal.note_sweep({"driver": "invariants.fuzz", "seed": seed,
-                            "cells": len(cells)})
-    report = FuzzReport(seed=seed)
+    ledger = CellLedger(cells, journal, meta={
+        "driver": "invariants.fuzz", "seed": seed, "cells": len(cells)})
+    report = FuzzReport(seed=seed, outcomes=[
+        FuzzOutcome(ledger.specs[key], "ok", elapsed=result["elapsed"])
+        for key, result in ledger.resumed.items()])
     try:
-        for spec in cells:
-            if journal is not None:
-                journal.note_cell(spec.key, "pending", spec=spec.to_dict(),
-                                  config_hash=spec.config_hash())
-                journal.note_cell(spec.key, "running", attempt=0)
-            outcome = _run_one(spec, result_to_dict)
+        while (started := ledger.start_next()) is not None:
+            spec, attempt = started
+            outcome = _run_one(spec)
             report.outcomes.append(outcome)
-            if journal is not None:
-                if outcome.ok:
-                    journal.note_cell(spec.key, "done", attempt=0)
-                else:
-                    journal.note_cell(spec.key, "quarantined", attempt=0,
-                                      error=outcome.error,
-                                      violation=outcome.violation)
+            if outcome.ok:
+                ledger.done(spec.key, attempt, outcome.result)
+            else:
+                ledger.failed(spec.key, attempt, outcome.error,
+                              "violation" if outcome.violation else "error",
+                              violation=outcome.violation)
             if on_cell is not None:
                 on_cell(outcome)
     finally:
@@ -185,7 +184,7 @@ def run_fuzz(cells: Optional[Sequence[CellSpec]] = None, *,
     return report
 
 
-def _run_one(spec: CellSpec, result_to_dict) -> FuzzOutcome:
+def _run_one(spec: CellSpec) -> FuzzOutcome:
     hub = InvariantAuditor()
     try:
         audited = run_cell(spec, invariants=hub)
@@ -204,4 +203,4 @@ def _run_one(spec: CellSpec, result_to_dict) -> FuzzOutcome:
     if diff:
         return FuzzOutcome(spec, "diverged", diff=diff,
                            error="; ".join(diff[:3]))
-    return FuzzOutcome(spec, "ok", elapsed=audited.elapsed)
+    return FuzzOutcome(spec, "ok", elapsed=audited.elapsed, result=audited)

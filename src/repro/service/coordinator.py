@@ -13,17 +13,15 @@ One :class:`Coordinator` owns
   ``heartbeat_timeout`` (or whose connection drops, e.g. SIGKILL) is
   declared lost and its in-flight cell is **reassigned**.
 
-Failure semantics deliberately mirror the local worker pool
-(:mod:`repro.experiments.workers`): an explicit ``error``/``timeout``/
-``crashed`` result — and a lost worker, which is indistinguishable from
-a crash — consumes one attempt and is retried with exponential backoff
-up to ``retries`` times before the cell is quarantined; an
-``InvariantViolation`` result quarantines immediately (a deterministic
-modelling defect is not worth re-running); quarantined cells fail the
-job but never sink it. Because every transition is journaled the same
-way the local harness journals it, killing the coordinator itself loses
-nothing: on restart, jobs left ``running`` re-activate and their
-journals' ``done`` cells are skipped, bit-identical.
+Each job's cells live in a :class:`~repro.experiments.lifecycle.CellLedger`,
+the same state machine the local harness drives: it owns the retry,
+backoff and quarantine rules and every cell record of the journal. The
+coordinator adds what is specific to the service: it reports a lost or
+stalled worker's cell as a presumed ``crashed``/``timeout`` failure (one
+attempt spent, then reassigned), and quarantined cells fail the job but
+never sink it. Killing the coordinator itself loses nothing: on
+restart, jobs left ``running`` re-activate and their journals' ``done``
+cells are skipped, bit-identical.
 
 The coordinator is single-threaded: drive it with :meth:`step` (tests)
 or :meth:`serve_forever` (the ``repro serve`` loop). It is not
@@ -62,12 +60,11 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..experiments.journal import SweepJournal
-from ..experiments.workers import CellSpec
+from ..experiments.lifecycle import CellLedger, CellOutcome, last_line
 from . import protocol
 from .jobs import Job, JobQueue
 from .requests import SweepRequest
@@ -107,39 +104,19 @@ class _ActiveJob:
     request: SweepRequest
     journal: SweepJournal
     journal_path: str
-    specs: Dict[str, CellSpec]
-    #: (key, attempt, not_before) — ready cells plus backoff holds.
-    pending: Deque[Tuple[str, int, float]] = field(default_factory=deque)
+    ledger: CellLedger
     inflight: Dict[str, str] = field(default_factory=dict)  # key -> worker
-    done: int = 0
-    resumed: int = 0
-    quarantined: List[str] = field(default_factory=list)
-    failures: Dict[str, List[str]] = field(default_factory=dict)
-    #: keys whose ``done`` has been journal-applied (exactly-once guard).
-    applied: Set[str] = field(default_factory=set)
-    #: (key, attempt) result frames already processed (duplicate guard).
-    seen: Set[Tuple[str, int]] = field(default_factory=set)
-
-    def next_ready(self, now: float) -> Optional[Tuple[str, int]]:
-        for index, (key, attempt, not_before) in enumerate(self.pending):
-            if not_before <= now:
-                del self.pending[index]
-                return key, attempt
-        return None
-
-    def drop_pending(self, key: str) -> None:
-        """Forget any scheduled (re)dispatch of ``key``."""
-        self.pending = deque(item for item in self.pending
-                             if item[0] != key)
 
     def finished(self) -> bool:
-        return not self.pending and not self.inflight
+        return not self.ledger.queue and not self.inflight
 
     def progress(self) -> Dict[str, int]:
-        return {"total": len(self.specs), "done": self.done,
-                "resumed": self.resumed, "pending": len(self.pending),
-                "inflight": len(self.inflight),
-                "quarantined": len(self.quarantined)}
+        ledger = self.ledger
+        quarantined, resumed = len(ledger.quarantined), len(ledger.resumed)
+        return {"total": len(ledger.specs),
+                "done": len(ledger.outcomes) - quarantined + resumed,
+                "resumed": resumed, "pending": len(ledger.queue),
+                "inflight": len(self.inflight), "quarantined": quarantined}
 
 
 class Coordinator:
@@ -207,7 +184,8 @@ class Coordinator:
         registry = self.telemetry.registry
         depth = 0
         if self.active is not None:
-            depth = len(self.active.pending) + len(self.active.inflight)
+            depth = (len(self.active.ledger.queue)
+                     + len(self.active.inflight))
         registry.gauge("service.queue.depth").set(depth)
         registry.gauge("service.workers.live").set(
             sum(1 for worker in self.workers.values() if not worker.lost))
@@ -511,21 +489,12 @@ class Coordinator:
             stalled = now - worker.assigned_at
             if stalled <= self.assign_timeout:
                 continue
-            job_id, key, attempt = worker.inflight
-            worker.inflight = None
-            active = self.active
-            if active is None or active.job.id != job_id:
-                continue
-            if active.inflight.get(key) == worker.id:
-                active.inflight.pop(key, None)
-            active.journal.note_service("assign_timeout", worker=worker.id,
-                                        key=key, attempt=attempt)
-            self._attempt_failed(
-                active, key, attempt,
+            inflight, worker.inflight = worker.inflight, None
+            progress |= self._reclaim(
+                worker, inflight,
                 f"assignment to {worker.id} stalled "
                 f"({stalled:.1f}s > {self.assign_timeout:g}s)",
-                "timeout", reassign_from=worker.id)
-            progress = True
+                "timeout", event="assign_timeout")
         return progress
 
     def _lose_worker(self, worker: WorkerState, reason: str, *,
@@ -544,19 +513,35 @@ class Coordinator:
         if active is not None and (count_lost or inflight is not None):
             active.journal.note_service(event, worker=worker.id,
                                         reason=reason)
-        if inflight is None:
-            return
-        job_id, key, attempt = inflight
-        if active is None or active.job.id != job_id:
-            return   # the job already finished without this cell
-        if active.inflight.get(key) != worker.id:
-            return   # the cell already moved on (salvaged or reassigned)
-        active.inflight.pop(key, None)
         # A lost worker is indistinguishable from a crashed one: the
         # attempt is spent, exactly as the local pool counts it.
-        self._attempt_failed(active, key, attempt,
-                             f"worker {worker.id} lost mid-cell ({reason})",
-                             "crashed", reassign_from=worker.id)
+        self._reclaim(worker, inflight,
+                      f"worker {worker.id} lost mid-cell ({reason})",
+                      "crashed")
+
+    def _reclaim(self, worker: WorkerState,
+                 inflight: Optional[Tuple[str, str, int]], error: str,
+                 kind: str, event: Optional[str] = None) -> bool:
+        """Spend the attempt ``worker`` held unless its cell moved on
+        (finished, salvaged, reassigned), journaling ``event`` first."""
+        active = self.active
+        if (inflight is None or active is None
+                or active.job.id != inflight[0]
+                or active.inflight.get(inflight[1]) != worker.id):
+            return False
+        _, key, attempt = inflight
+        del active.inflight[key]
+        if event is not None:
+            active.journal.note_service(event, worker=worker.id, key=key,
+                                        attempt=attempt)
+        if active.ledger.failed(key, attempt, error, kind, presumed=True):
+            active.journal.note_service("reassign", key=key,
+                                        attempt=attempt + 1,
+                                        worker=worker.id)
+            self._count("reassigned")
+            self._say(f"{active.job.id}: reassigning {key} "
+                      f"(attempt {attempt + 1})")
+        return True
 
     # ----------------------------------------------------------- results
     def _on_result(self, worker: WorkerState, message: Dict) -> None:
@@ -574,15 +559,16 @@ class Coordinator:
             self._lose_worker(worker, "schema-violating result",
                               event="worker_lost")
             return
-        if worker.inflight == (job_id, key, attempt):
+        assigned = worker.inflight == (job_id, key, attempt)
+        if assigned:
             worker.inflight = None
         active = self.active
         if (active is None or active.job.id != job_id
-                or key not in active.specs):
+                or key not in active.ledger.specs):
             self._say(f"ignoring stale result for {key} "
                       f"from worker {worker.id}")
             return
-        if key in active.applied or (key, attempt) in active.seen:
+        if active.ledger.settled(key, attempt):
             # Exactly-once guard: this (job, cell, attempt) — or the
             # cell's terminal state — was already applied. Drop it.
             self._count("duplicate")
@@ -592,14 +578,14 @@ class Coordinator:
             self._say(f"dropped duplicate result for {key} "
                       f"(attempt {attempt}) from worker {worker.id}")
             return
-        assignee = active.inflight.get(key)
-        if assignee != worker.id and status != "done":
+        if status != "done" and not assigned:
             # A failure report for an assignment that is no longer this
             # worker's: the live assignment decides the cell's fate.
             self._count("fenced")
             self._say(f"ignoring stale {status} result for {key} "
                       f"from worker {worker.id}")
             return
+        assignee = active.inflight.pop(key, None)
         if assignee is not None and assignee != worker.id:
             # Completed-but-unsent result salvaged after reassignment:
             # first result wins; un-assign the other copy (its eventual
@@ -610,61 +596,21 @@ class Coordinator:
                 other.inflight = None
             self._say(f"salvaged {key} from worker {worker.id}; "
                       f"withdrawing the copy on {assignee}")
-        active.seen.add((key, attempt))
-        active.inflight.pop(key, None)
-        if status == "done":
-            # A done result also cancels any scheduled retry of the key.
-            active.drop_pending(key)
         self._count("results")
         if status == "done":
             worker.completed += 1
-            active.done += 1
-            active.applied.add(key)
-            active.journal.note_cell(key, "done", attempt=attempt,
-                                     result=message.get("result"),
-                                     worker=worker.id)
-        elif status == "violation":
-            self._quarantine(active, key, attempt,
-                             message.get("error") or "invariant violation",
-                             violation=message.get("violation"),
-                             worker=worker.id)
-        else:   # error / timeout / crashed
-            self._attempt_failed(active, key, attempt,
+            active.ledger.done(key, attempt, message.get("result"),
+                               worker=worker.id)
+        else:   # error / timeout / crashed / violation
+            active.ledger.failed(key, attempt,
                                  message.get("error") or status, status,
-                                 worker=worker.id)
+                                 worker=worker.id,
+                                 violation=message.get("violation"))
 
-    def _attempt_failed(self, active: _ActiveJob, key: str, attempt: int,
-                        error: str, kind: str, *,
-                        worker: Optional[str] = None,
-                        reassign_from: Optional[str] = None) -> None:
-        active.failures.setdefault(key, []).append(error)
-        active.journal.note_cell(key, "failed", attempt=attempt,
-                                 error=_last_line(error), worker=worker)
-        if attempt < self.retries:
-            not_before = time.monotonic() + self.backoff * (2 ** attempt)
-            active.pending.append((key, attempt + 1, not_before))
-            if reassign_from is not None:
-                active.journal.note_service("reassign", key=key,
-                                            attempt=attempt + 1,
-                                            worker=reassign_from)
-                self._count("reassigned")
-                self._say(f"{active.job.id}: reassigning {key} "
-                          f"(attempt {attempt + 1})")
-        else:
-            self._quarantine(active, key, attempt, error, worker=worker)
-
-    def _quarantine(self, active: _ActiveJob, key: str, attempt: int,
-                    error: str, violation: Optional[Dict] = None,
-                    worker: Optional[str] = None) -> None:
-        active.quarantined.append(key)
-        # Quarantine is terminal too: a late result for the key must be
-        # dropped as a duplicate, not resurrect the cell.
-        active.applied.add(key)
-        active.journal.note_cell(key, "quarantined", attempt=attempt,
-                                 error=_last_line(error),
-                                 violation=violation, worker=worker)
-        self._say(f"{active.job.id}: quarantined {key}: "
-                  f"{_last_line(error)}")
+    def _on_outcome(self, outcome: CellOutcome) -> None:
+        if outcome.status == "quarantined":
+            self._say(f"{self.active.job.id}: quarantined {outcome.key}: "
+                      f"{last_line(outcome.error)}")
 
     # -------------------------------------------------------------- jobs
     def _activate_next(self) -> bool:
@@ -676,41 +622,29 @@ class Coordinator:
         return False
 
     def _activate(self, job: Job) -> bool:
+        journal_path = self.journal_path_for(job.id)
         try:
             request = SweepRequest.from_dict(job.request)
-            specs = {spec.key: spec for spec in request.cells()}
-        except ValueError as exc:
+            ledger = CellLedger(request.cells(),
+                                SweepJournal.load(journal_path),
+                                retries=self.retries, backoff=self.backoff,
+                                meta=request.meta(),
+                                on_outcome=self._on_outcome)
+        except ValueError as exc:   # bad request, or a corrupt journal
             self.queue.update(job.id, "failed", error=str(exc))
             self._count("jobs_failed")
             self._say(f"{job.id}: rejected: {exc}")
             return False
-        journal_path = self.journal_path_for(job.id)
-        journal = SweepJournal.load(journal_path)
-        if not journal.meta:
-            journal.note_sweep(request.meta())
-        active = _ActiveJob(job=job, request=request, journal=journal,
-                            journal_path=journal_path, specs=specs)
-        now = time.monotonic()
-        for key, spec in specs.items():
-            state = journal.cells.get(key)
-            if (state is not None and state.status == "done"
-                    and state.config_hash == spec.config_hash()
-                    and state.result is not None):
-                active.done += 1
-                active.resumed += 1
-                active.applied.add(key)
-                continue
-            if state is None or state.config_hash != spec.config_hash():
-                journal.note_cell(key, "pending", spec=spec.to_dict(),
-                                  config_hash=spec.config_hash())
-            active.pending.append((key, 0, now))
-        self._count("resumed_cells", active.resumed)
+        active = _ActiveJob(job=job, request=request,
+                            journal=ledger.journal,
+                            journal_path=journal_path, ledger=ledger)
+        self._count("resumed_cells", len(ledger.resumed))
         if job.status != "running":
             self.queue.update(job.id, "running")
         self.active = active
         self._say(f"{job.id}: running {request.figure} — "
-                  f"{len(active.pending)} cell(s) to go, "
-                  f"{active.resumed} already done")
+                  f"{len(ledger.queue)} cell(s) to go, "
+                  f"{len(ledger.resumed)} already done")
         return True
 
     def _dispatch(self) -> bool:
@@ -720,20 +654,17 @@ class Coordinator:
         for worker in list(self.workers.values()):
             if worker.lost or worker.inflight is not None:
                 continue
-            ready = active.next_ready(now)
-            if ready is None:
+            started = active.ledger.start_next(worker=worker.id)
+            if started is None:
                 break
-            key, attempt = ready
-            spec = active.specs[key]
-            worker.inflight = (active.job.id, key, attempt)
+            spec, attempt = started
+            worker.inflight = (active.job.id, spec.key, attempt)
             worker.assigned_at = now
-            active.inflight[key] = worker.id
-            active.journal.note_cell(key, "running", attempt=attempt,
-                                     worker=worker.id)
+            active.inflight[spec.key] = worker.id
             self._count("dispatched")
             try:
                 worker.channel.send(protocol.assign(
-                    active.job.id, key, spec.to_dict(), attempt))
+                    active.job.id, spec.key, spec.to_dict(), attempt))
             except ChannelClosed:
                 self._lose_worker(worker, "send failed",
                                   event="worker_lost")
@@ -746,14 +677,14 @@ class Coordinator:
         self.active = None
         active.journal.close()
         job = active.job
-        if active.quarantined:
-            keys = ", ".join(sorted(active.quarantined))
+        quarantined = sorted(o.key for o in active.ledger.quarantined)
+        if quarantined:
+            keys = ", ".join(quarantined)
             self.queue.update(
                 job.id, "failed",
-                error=f"{len(active.quarantined)} cell(s) quarantined: "
-                      f"{keys}")
+                error=f"{len(quarantined)} cell(s) quarantined: {keys}")
             self._count("jobs_failed")
-            self._say(f"{job.id}: FAILED — {len(active.quarantined)} "
+            self._say(f"{job.id}: FAILED — {len(quarantined)} "
                       f"cell(s) quarantined ({keys}); journal: "
                       f"{active.journal_path}")
             return
@@ -767,8 +698,9 @@ class Coordinator:
             return
         self.queue.update(job.id, "done")
         self._count("jobs_completed")
-        self._say(f"{job.id}: done — {active.done} cell(s) "
-                  f"({active.resumed} resumed); artifacts in "
+        progress = active.progress()
+        self._say(f"{job.id}: done — {progress['done']} cell(s) "
+                  f"({progress['resumed']} resumed); artifacts in "
                   f"{active.request.out_dir}/")
 
     # ------------------------------------------------------------ status
@@ -801,9 +733,3 @@ class Coordinator:
             "workers": workers,
             "counters": dict(self.counters),
         }
-
-
-def _last_line(text: str) -> str:
-    lines = [line.strip() for line in text.strip().splitlines()
-             if line.strip()]
-    return lines[-1] if lines else ""

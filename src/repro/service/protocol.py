@@ -34,10 +34,11 @@ from a superseded registration and is fenced (dropped, counted,
 journaled) instead of applied — see ``docs/CHAOS.md``. The epoch field
 is optional on the wire so version-1 peers interoperate.
 
-``result.status`` reuses the worker-pool failure taxonomy of
-:mod:`repro.experiments.workers`: ``done``, ``error``, ``timeout``,
-``crashed`` or ``violation`` — the coordinator applies the same
-retry/quarantine rules a local pool would (see ``docs/SERVICE.md``).
+``result.status`` is ``done`` or one of the failure kinds of
+:mod:`repro.experiments.lifecycle` — ``error``, ``timeout``,
+``crashed`` or ``violation`` — and the coordinator reports it to the
+job's ``CellLedger``, the same retry/quarantine rules a local sweep
+follows (see ``docs/HARNESS.md``).
 """
 
 from __future__ import annotations

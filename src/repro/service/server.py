@@ -15,7 +15,6 @@ clients: connect, send one message, read one reply.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import sys
@@ -23,6 +22,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..experiments.workers import _mp_context
 from . import protocol
 from .coordinator import Coordinator
 from .transport import ChannelClosed, SocketTransport
@@ -51,13 +51,9 @@ def _local_worker_entry(address: str, worker_id: str,
 
 def spawn_local_workers(address: str, count: int, *,
                         heartbeat_interval: float = 0.5,
-                        cell_timeout: Optional[float] = None,
-                        mp_context: Optional[str] = None) -> List:
+                        cell_timeout: Optional[float] = None) -> List:
     """Start ``count`` worker processes dialing ``address``."""
-    if mp_context is None:
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = "fork" if "fork" in methods else "spawn"
-    ctx = multiprocessing.get_context(mp_context)
+    ctx = _mp_context()
     procs = []
     for index in range(count):
         proc = ctx.Process(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..experiments.artifacts import result_to_dict
 from ..experiments.workers import CellSpec, run_cell, run_cells
@@ -53,7 +53,6 @@ class ServiceWorker:
                  heartbeat_interval: float = 0.5,
                  cell_timeout: Optional[float] = None,
                  cell_fn: Callable = run_cell,
-                 mp_context: Optional[str] = None,
                  reconnect: Optional[Callable[[], Channel]] = None,
                  reconnect_backoff: float = 0.05,
                  max_reconnects: int = 8,
@@ -72,7 +71,6 @@ class ServiceWorker:
         self.heartbeat_interval = heartbeat_interval
         self.cell_timeout = cell_timeout
         self.cell_fn = cell_fn
-        self.mp_context = mp_context
         self.reconnect = reconnect
         self.reconnect_backoff = reconnect_backoff
         self.max_reconnects = max_reconnects
@@ -214,29 +212,19 @@ class ServiceWorker:
     # -------------------------------------------------------------- cells
     def _run_assignment(self, message) -> None:
         job, key, attempt = message["job"], message["key"], message["attempt"]
-        spec = CellSpec.from_dict(message["spec"])
-        kinds: List[str] = []
-
-        def attempt_failed(_spec, _attempt, _error, kind) -> None:
-            kinds.append(kind)
-
-        outcome = run_cells(
-            [spec], jobs=1, timeout=self.cell_timeout, retries=0,
-            cell_fn=self.cell_fn, on_attempt_failed=attempt_failed,
-            mp_context=self.mp_context)[0]
+        outcome = run_cells([CellSpec.from_dict(message["spec"])],
+                            timeout=self.cell_timeout,
+                            cell_fn=self.cell_fn)[0]
         self.cells_run += 1
         if outcome.status == "done":
             reply = protocol.result(job, key, attempt, "done",
                                     result=result_to_dict(outcome.result),
                                     epoch=self.epoch)
-        elif outcome.violation is not None:
-            reply = protocol.result(job, key, attempt, "violation",
-                                    violation=outcome.violation,
-                                    error=outcome.error, epoch=self.epoch)
         else:
-            kind = kinds[-1] if kinds else "error"
-            reply = protocol.result(job, key, attempt, kind,
-                                    error=outcome.error, epoch=self.epoch)
+            reply = protocol.result(job, key, attempt, outcome.kind,
+                                    error=outcome.error,
+                                    violation=outcome.violation,
+                                    epoch=self.epoch)
         try:
             self.channel.send(reply)
         except ChannelClosed:

@@ -140,13 +140,13 @@ def _hang_cell(spec):
 def _patch_cell_fn(monkeypatch, cell_fn):
     """Make SweepRunner use ``cell_fn`` instead of the real simulation."""
     import repro.experiments.harness as harness_mod
-    original = harness_mod.run_cells
+    original = harness_mod.run_ledger
 
-    def patched(specs, **kwargs):
+    def patched(ledger, **kwargs):
         kwargs["cell_fn"] = cell_fn
-        return original(specs, **kwargs)
+        return original(ledger, **kwargs)
 
-    monkeypatch.setattr(harness_mod, "run_cells", patched)
+    monkeypatch.setattr(harness_mod, "run_ledger", patched)
 
 
 class TestFailureContainment:

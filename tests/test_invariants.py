@@ -351,25 +351,13 @@ class TestViolationRouting:
     def test_harness_counters_and_journal_field(self, tmp_path, monkeypatch):
         import repro.experiments.harness as harness
         from repro.experiments import SweepRunner
+        from repro.experiments.workers import run_ledger
 
-        def fake_run_cells(specs, **kwargs):
-            outcomes = []
-            for spec in specs:
-                kwargs["on_start"](spec, 0)
-                try:
-                    _violating_cell(spec)
-                except InvariantViolation as violation:
-                    kwargs["on_attempt_failed"](spec, 0, str(violation),
-                                                "violation")
-                    from repro.experiments.workers import CellOutcome
-                    outcome = CellOutcome(spec, "quarantined", 1,
-                                          error=str(violation),
-                                          violation=violation.report())
-                    kwargs["on_outcome"](outcome)
-                    outcomes.append(outcome)
-            return outcomes
+        def with_violating_cells(ledger, **kwargs):
+            kwargs["cell_fn"] = _violating_cell
+            return run_ledger(ledger, **kwargs)
 
-        monkeypatch.setattr(harness, "run_cells", fake_run_cells)
+        monkeypatch.setattr(harness, "run_ledger", with_violating_cells)
         path = str(tmp_path / "sweep.journal.jsonl")
         runner = SweepRunner(path, strict=False)
         runner.run([self.SPEC])

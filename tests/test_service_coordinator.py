@@ -285,6 +285,36 @@ class TestCoordinatorResume:
                 with open(os.path.join(inline, name), "rb") as b:
                     assert a.read() == b.read()
 
+    def test_job_journal_finishes_with_plain_resume(self, tmp_path, capsys):
+        """docs/SERVICE.md: a job journal "also works with plain
+        ``repro resume``" — only the unfinished cells run again."""
+        from repro.cli import main
+
+        cluster = _Cluster(tmp_path)
+        job = cluster.coordinator.submit(REQUEST)
+        deadline = time.monotonic() + 60.0
+        while cluster.coordinator.counters["results"] < 1:
+            cluster.coordinator.step()
+            time.sleep(0.002)
+            assert time.monotonic() < deadline
+        cluster.close()
+        journal_path = cluster.coordinator.journal_path_for(job.id)
+        done_before = SweepJournal.load(journal_path).counts()["done"]
+        assert 1 <= done_before < 3
+
+        resumed = str(tmp_path / "resumed")
+        capsys.readouterr()
+        assert main(["resume", journal_path, "--out-dir", resumed]) == 0
+        out = capsys.readouterr().out
+        assert f"resumed_cells={done_before}," in out
+        assert f"completed={3 - done_before}" in out
+        assert SweepJournal.load(journal_path).counts()["done"] == 3
+        inline = _inline_artifacts(tmp_path)
+        for name in ("fig1.txt", "fig1.csv"):
+            with open(os.path.join(resumed, name), "rb") as a:
+                with open(os.path.join(inline, name), "rb") as b:
+                    assert a.read() == b.read()
+
 
 # --------------------------------------------------------------- telemetry
 class TestTelemetry:

@@ -4,6 +4,7 @@ control rejects deterministically, epoch fencing and exactly-once
 deduplication hold, and the hardening telemetry behaves with and
 without a registry."""
 
+import json
 import socket as socketlib
 import threading
 import time
@@ -246,6 +247,38 @@ class TestExactlyOnceAndFencing:
         _step_until(coordinator,
                     lambda: coordinator.counters["heartbeats"] == 1)
         coordinator.close()
+
+    def test_assignment_timeout_never_fails_a_done_cell(self, tmp_path):
+        """Worker a's first assignment stalls and comes back to a as
+        attempt 1; a then reports attempt 0 done. Later timeouts of the
+        abandoned attempt must not touch the finished cell."""
+        coordinator, transport = _coordinator(
+            tmp_path, retries=2, assign_timeout=0.3, heartbeat_timeout=30.0)
+        channels = {name: _register(coordinator, transport, name)
+                    for name in ("a", "b", "c")}
+        job = coordinator.submit(REQUEST)
+        channel, epoch = channels["a"]
+        first = _await_assign(coordinator, channel)
+        key = first["key"]
+        # b and c sit on their cells too, so the job stays open.
+        again = _await_assign(coordinator, channel)
+        assert (again["key"], again["attempt"]) == (key, 1)
+        result = run_cell(CellSpec.from_dict(first["spec"]))
+        channel.send(protocol.result(first["job"], key, 0, "done",
+                                     result=result_to_dict(result),
+                                     epoch=epoch))
+        _step_until(coordinator,
+                    lambda: coordinator.queue.jobs[job.id].status
+                    in ("done", "failed"))
+        coordinator.close()
+        path = coordinator.journal_path_for(job.id)
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        statuses = [record["status"] for record in records
+                    if record["kind"] == "cell" and record["key"] == key]
+        assert statuses.count("done") == 1
+        assert statuses[-1] == "done", statuses
+        assert SweepJournal.load(path).cells[key].status == "done"
 
     def test_reregistration_supersedes_previous_channel(self, tmp_path):
         coordinator, transport = _coordinator(tmp_path)

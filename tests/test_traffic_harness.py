@@ -124,13 +124,13 @@ class TestMemoryBudget:
 
     def test_runner_counts_and_journals_ooms(self, tmp_path, monkeypatch):
         import repro.experiments.harness as harness_mod
-        from repro.experiments.workers import run_cells as real_run_cells
+        from repro.experiments.workers import run_ledger as real_run_ledger
 
-        def with_hungry_cells(specs, **kwargs):
+        def with_hungry_cells(ledger, **kwargs):
             kwargs["cell_fn"] = hungry_cell
-            return real_run_cells(specs, **kwargs)
+            return real_run_ledger(ledger, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "run_cells", with_hungry_cells)
+        monkeypatch.setattr(harness_mod, "run_ledger", with_hungry_cells)
         journal_path = str(tmp_path / "oom2.journal.jsonl")
         runner = SweepRunner(journal_path, memory_budget_mb=64,
                              retries=2, strict=False)
