@@ -23,7 +23,7 @@ def sort_elapsed(disks, segments=None):
     return run_task(config, "sort", BENCH_SCALE).elapsed
 
 
-def test_fibreswitch_scaling(benchmark, save_report):
+def test_fibreswitch_scaling(save_report):
     rows = {}
     for disks in (64, 128):
         base = sort_elapsed(disks)
@@ -40,8 +40,6 @@ def test_fibreswitch_scaling(benchmark, save_report):
             lines.append(f"  {label:28s} {value:7.2f}s "
                          f"({base / value:4.2f}x vs dual loop)")
     save_report("ablation_fibreswitch", "\n".join(lines))
-
-    benchmark.pedantic(lambda: sort_elapsed(64, 4), rounds=1, iterations=1)
 
     # At 128 disks (loop saturated) an 8-segment switch must win big;
     # at 64 disks (loop sufficient, per the paper) gains stay modest.

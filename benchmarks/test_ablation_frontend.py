@@ -20,7 +20,7 @@ def elapsed(task, disks=64, frontend_mhz=450.0, restricted=False):
     return run_task(config, task, BENCH_SCALE).elapsed
 
 
-def test_frontend_scaling(benchmark, save_report):
+def test_frontend_scaling(save_report):
     rows = []
     for task, restricted in (("select", False), ("groupby", False),
                              ("sort", True)):
@@ -34,8 +34,6 @@ def test_frontend_scaling(benchmark, save_report):
         lines.append(f"{task:9s} {mode:10s} {base:7.2f}s {fast:6.2f}s "
                      f"{speedup:5.2f}x")
     save_report("ablation_frontend", "\n".join(lines))
-
-    benchmark.pedantic(lambda: elapsed("select"), rounds=1, iterations=1)
 
     by_task = {(task, mode): speedup
                for task, mode, _, _, speedup in rows}

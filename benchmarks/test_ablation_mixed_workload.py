@@ -35,7 +35,7 @@ def mixed(arch, tasks):
     return {result.task: result.elapsed for result in results}
 
 
-def test_mixed_workload(benchmark, save_report):
+def test_mixed_workload(save_report):
     lines = [f"Ablation: select + sort running concurrently "
              f"({DISKS} disks)"]
     slowdowns = {}
@@ -52,9 +52,6 @@ def test_mixed_workload(benchmark, save_report):
             f"sort {sort_solo:6.2f}s -> {together['sort']:6.2f}s "
             f"({sort_slow:4.2f}x)")
     save_report("ablation_mixed_workload", "\n".join(lines))
-
-    benchmark.pedantic(lambda: mixed("active", ["select", "aggregate"]),
-                       rounds=1, iterations=1)
 
     for arch, (select_slow, sort_slow) in slowdowns.items():
         # The short scan absorbs most of the interference (it shares

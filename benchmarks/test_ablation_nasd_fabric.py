@@ -24,7 +24,7 @@ def elapsed(disks, task, ethernet):
     return run_task(config, task, BENCH_SCALE).elapsed
 
 
-def test_nasd_fabric(benchmark, save_report):
+def test_nasd_fabric(save_report):
     rows = []
     ratios = {}
     for disks in (16, 128):
@@ -37,9 +37,6 @@ def test_nasd_fabric(benchmark, save_report):
     save_report("ablation_nasd_fabric", render_table(
         "Ablation: dual FC-AL vs switched-Ethernet (NASD-style) fabric",
         ("task@disks", "FC loop", "ethernet", "eth/FC"), rows))
-
-    benchmark.pedantic(lambda: elapsed(16, "select", True),
-                       rounds=1, iterations=1)
 
     # The trade-off flips with scale and task shape:
     assert ratios[(128, "sort")] < 0.85      # scaling bisection wins

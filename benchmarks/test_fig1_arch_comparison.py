@@ -14,13 +14,7 @@ def fig1():
     return run_fig1(sizes=SIZES, scale=BENCH_SCALE)
 
 
-def test_fig1_full_sweep(benchmark, save_report, save_rows, fig1):
-    # Timed at a smaller scope (one 16-disk select triple) so the
-    # benchmark number is meaningful; the full sweep is computed once.
-    benchmark.pedantic(
-        lambda: run_fig1(sizes=(16,), tasks=("select",),
-                         scale=BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig1_full_sweep(save_report, save_rows, fig1):
     save_report("fig1_arch_comparison", fig1.render())
     from repro.experiments import fig1_rows
     save_rows("fig1_arch_comparison", fig1_rows(fig1))

@@ -11,10 +11,7 @@ def fig2():
     return run_fig2(sizes=(64, 128), scale=BENCH_SCALE)
 
 
-def test_fig2_sweep(benchmark, save_report, save_rows, fig2):
-    benchmark.pedantic(
-        lambda: run_fig2(sizes=(64,), tasks=("sort",), scale=BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig2_sweep(save_report, save_rows, fig2):
     save_report("fig2_interconnect", fig2.render())
     from repro.experiments import fig2_rows
     save_rows("fig2_interconnect", fig2_rows(fig2))

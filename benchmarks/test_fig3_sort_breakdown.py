@@ -11,10 +11,7 @@ def fig3():
     return run_fig3(sizes=(16, 32, 64, 128), scale=BENCH_SCALE)
 
 
-def test_fig3_sweep(benchmark, save_report, save_rows, fig3):
-    benchmark.pedantic(
-        lambda: run_fig3(sizes=(16,), scale=BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig3_sweep(save_report, save_rows, fig3):
     save_report("fig3_sort_breakdown", fig3.render())
     from repro.experiments import fig3_rows
     save_rows("fig3_sort_breakdown", fig3_rows(fig3))

@@ -22,11 +22,7 @@ def fig4():
                     scale=BENCH_SCALE)
 
 
-def test_fig4_sweep(benchmark, save_report, save_rows, fig4):
-    benchmark.pedantic(
-        lambda: run_fig4(sizes=(16,), tasks=("sort",),
-                         memories_mb=(32, 64), scale=BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig4_sweep(save_report, save_rows, fig4):
     save_report("fig4_memory", fig4.render())
     from repro.experiments import fig4_rows
     save_rows("fig4_memory", fig4_rows(fig4))

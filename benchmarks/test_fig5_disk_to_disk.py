@@ -14,10 +14,7 @@ def fig5():
     return run_fig5(sizes=(32, 64, 128), scale=BENCH_SCALE)
 
 
-def test_fig5_sweep(benchmark, save_report, save_rows, fig5):
-    benchmark.pedantic(
-        lambda: run_fig5(sizes=(32,), tasks=("sort",), scale=BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig5_sweep(save_report, save_rows, fig5):
     save_report("fig5_disk_to_disk", fig5.render())
     from repro.experiments import fig5_rows
     save_rows("fig5_disk_to_disk", fig5_rows(fig5))

@@ -32,10 +32,7 @@ def cells():
     return out
 
 
-def test_price_performance(benchmark, save_report, cells):
-    benchmark.pedantic(
-        lambda: run_task(config_for("active", 16), "select", BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_price_performance(save_report, cells):
     save_report("price_performance", price_performance_table(cells))
 
     by_key = {}

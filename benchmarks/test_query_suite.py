@@ -33,7 +33,7 @@ def results():
             for name in QUERY_SUITE}
 
 
-def test_query_suite(benchmark, save_report, results):
+def test_query_suite(save_report, results):
     rows = [
         (name,
          f"{r['active']:.2f}s",
@@ -45,9 +45,6 @@ def test_query_suite(benchmark, save_report, results):
         f"Composite query suite, {DISKS} disks "
         f"(normalized to Active Disks; scale={BENCH_SCALE:g})",
         ("query", "active", "cluster", "smp"), rows))
-
-    benchmark.pedantic(lambda: run_query("revenue-band", "active"),
-                       rounds=1, iterations=1)
 
     for name, r in results.items():
         # Every query scans the fact table, so the SMP's starved loop

@@ -16,7 +16,7 @@ TASKS = ("select", "sort", "groupby")
 SIZES = (16, 64)
 
 
-def test_scale_invariance(benchmark, save_report):
+def test_scale_invariance(save_report):
     coarse = run_fig1(sizes=SIZES, tasks=TASKS, scale=BENCH_SCALE / 4)
     fine = run_fig1(sizes=SIZES, tasks=TASKS, scale=BENCH_SCALE)
 
@@ -34,11 +34,6 @@ def test_scale_invariance(benchmark, save_report):
                              f"{a:5.2f} vs {b:5.2f}  "
                              f"(drift {drift:5.1%})")
     save_report("scale_invariance", "\n".join(lines))
-
-    benchmark.pedantic(
-        lambda: run_fig1(sizes=(16,), tasks=("select",),
-                         scale=BENCH_SCALE / 4),
-        rounds=1, iterations=1)
 
     # Ratios drift only through fixed per-request/per-message overheads,
     # which loom larger at tiny scales (the worst cell is the cluster's

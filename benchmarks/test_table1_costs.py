@@ -4,9 +4,8 @@ from repro.arch import cost_table, smp_cost_estimate
 from repro.experiments import run_table1
 
 
-def test_table1_costs(benchmark, save_report):
-    text = benchmark.pedantic(run_table1, args=(64,), rounds=3,
-                              iterations=1)
+def test_table1_costs(save_report):
+    text = run_table1(64)
     save_report("table1_costs", text)
 
     rows = cost_table(64)

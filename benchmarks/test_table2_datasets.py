@@ -6,8 +6,8 @@ from repro.workloads import TABLE2
 GB = 1_000_000_000
 
 
-def test_table2_datasets(benchmark, save_report):
-    text = benchmark.pedantic(run_table2, rounds=3, iterations=1)
+def test_table2_datasets(save_report):
+    text = run_table2()
     save_report("table2_datasets", text)
 
     assert len(TABLE2) == 8

@@ -447,33 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the armed fig1 identity check "
                             "(fuzz-only run)")
 
-    bench = sub.add_parser(
-        "bench", help="run the perf benchmark suites and write "
-                      "BENCH_kernel.json / BENCH_e2e.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="small shapes, single repeat, 16-disk "
-                            "identity subset (the CI smoke setting)")
-    bench.add_argument("--suite", choices=("kernel", "e2e", "all"),
-                       default="all")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="timing repeats per benchmark; the best "
-                            "wall clock is kept (default 3)")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory for BENCH_*.json (default .)")
-    bench.add_argument("--no-identity", action="store_true",
-                       help="skip the fig1 byte-identity guard "
-                            "(timing-only run)")
-    bench.add_argument("--compare", metavar="DIR", default=None,
-                       help="also print per-benchmark speedups against "
-                            "the BENCH_*.json files in this directory "
-                            "(e.g. a baseline worktree)")
-    bench.add_argument("--fail-below", type=float, metavar="RATIO",
-                       default=None,
-                       help="with --compare: exit nonzero when any "
-                            "benchmark's events/s ratio (or wall "
-                            "speedup) drops below RATIO, so CI can "
-                            "gate on throughput regressions")
-
     for name, helptext, extras in (
             ("fig1", "architecture comparison (Figure 1)", "sizes tasks"),
             ("fig2", "interconnect bandwidth (Figure 2)", "sizes tasks"),
@@ -911,64 +884,6 @@ def _command_crashtest(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _command_bench(args) -> int:
-    """Run the perf suites, write BENCH_*.json, optionally A/B compare."""
-    from .perfbench import (
-        run_e2e_suite,
-        run_kernel_suite,
-        suite_document,
-        write_suite,
-    )
-    from .perfbench.report import (
-        compare_suites,
-        load_suite,
-        render_comparison,
-        worst_events_ratio,
-    )
-
-    if args.fail_below is not None and not args.compare:
-        print("bench: --fail-below requires --compare", file=sys.stderr)
-        return 2
-
-    suites = {}
-    if args.suite in ("kernel", "all"):
-        suites["kernel"] = run_kernel_suite(quick=args.quick,
-                                            repeats=args.repeats)
-    if args.suite in ("e2e", "all"):
-        suites["e2e"] = run_e2e_suite(quick=args.quick,
-                                      repeats=args.repeats,
-                                      check_identity=not args.no_identity)
-    os.makedirs(args.out_dir, exist_ok=True)
-    status = 0
-    for name, results in suites.items():
-        document = suite_document(name, results, quick=args.quick)
-        path = os.path.join(args.out_dir, f"BENCH_{name}.json")
-        write_suite(path, document)
-        print(f"{name} suite -> {path}")
-        for result in results:
-            rate = (f"  {result.events_per_sec:>12,.0f} ev/s"
-                    if result.events else " " * 17)
-            print(f"  {result.name:<28} {result.wall_s:>9.4f}s{rate}")
-        if args.compare:
-            baseline_path = os.path.join(args.compare, f"BENCH_{name}.json")
-            try:
-                baseline = load_suite(baseline_path)
-            except OSError as exc:
-                print(f"  (no baseline to compare: {exc})")
-            else:
-                rows = compare_suites(baseline, document)
-                print(render_comparison(rows))
-                worst = worst_events_ratio(rows)
-                if (args.fail_below is not None and worst is not None
-                        and worst < args.fail_below):
-                    print(f"bench: {name} suite regressed: worst "
-                          f"throughput ratio {worst:.3f} is below "
-                          f"--fail-below {args.fail_below:.3f}",
-                          file=sys.stderr)
-                    status = 1
-    return status
-
-
 def _command_doctor(args) -> int:
     """Environment + smoke checks; returns the exit code."""
     import platform
@@ -978,8 +893,8 @@ def _command_doctor(args) -> int:
 
     checks = []
 
-    version_ok = sys.version_info >= (3, 9)
-    checks.append(("python >= 3.9", version_ok,
+    version_ok = sys.version_info >= (3, 10)
+    checks.append(("python >= 3.10", version_ok,
                    platform.python_version()))
 
     try:
@@ -1168,9 +1083,9 @@ def _command_audit(args) -> int:
     import json
     import time
 
+    from .experiments import IdentityDrift, fig1_identity_check
     from .invariants import InvariantViolation, armed
     from .invariants.fuzz import run_fuzz
-    from .perfbench.e2e import IdentityDrift, fig1_identity_check
 
     count = args.cells if args.cells is not None else (
         10 if args.quick else 25)
@@ -1256,13 +1171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_crashtest(args)
     if args.command == "audit":
         return _command_audit(args)
-    if args.command == "bench":
-        from .perfbench.e2e import IdentityDrift
-        try:
-            return _command_bench(args)
-        except IdentityDrift as exc:
-            print(f"bit-identity FAILED: {exc}", file=sys.stderr)
-            return 1
     if args.command in ("sweep", "resume"):
         from .experiments import SweepInterrupted
         try:

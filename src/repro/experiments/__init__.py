@@ -15,6 +15,9 @@ from .figures import (
     run_table2,
 )
 from .export import (
+    FIG1_BASELINE,
+    IdentityDrift,
+    fig1_identity_check,
     fig1_rows,
     fig2_rows,
     fig3_rows,
@@ -74,6 +77,7 @@ __all__ = [
     "run_all",
     "fig1_rows", "fig2_rows", "fig3_rows", "fig4_rows", "fig5_rows",
     "rows_to_csv", "rows_to_json",
+    "fig1_identity_check", "IdentityDrift", "FIG1_BASELINE",
     "run_scorecard", "paper_claims", "Claim", "ClaimResult",
     "run_degraded_sweep", "drive_failure_plan",
     "DegradedCell", "DegradedResult",

@@ -18,6 +18,7 @@ Arming follows the telemetry/faults pattern::
 or, to arm every :func:`~repro.experiments.runner.run_task` in a block
 (used by the armed figure-regeneration tests)::
 
+    from repro.experiments import fig1_identity_check
     from repro.invariants import armed
     with armed():
         fig1_identity_check(quick=True)

@@ -10,6 +10,6 @@ def quick_fig1_identity():
     Regenerating the 16-disk column costs seconds, so every test that
     asserts on the checked-in Figure 1 bytes shares this one report.
     """
-    from repro.perfbench.e2e import fig1_identity_check
+    from repro.experiments import fig1_identity_check
 
     return fig1_identity_check(quick=True)

@@ -92,6 +92,7 @@ class TestHarnessCommands:
         monkeypatch.chdir(tmp_path)
         assert main(["doctor"]) == 0
         out = capsys.readouterr().out
+        assert "python >= 3.10" in out
         assert "smoke: select on active" in out
         assert "checks passed" in out
 

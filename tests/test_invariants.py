@@ -182,7 +182,7 @@ class TestArmedIsFree:
         # Satellite check of the whole contract: every auditor armed on
         # every cell of the quick Figure 1 column, output byte-compared
         # to the checked-in results/ baseline, nothing raised.
-        from repro.perfbench.e2e import fig1_identity_check
+        from repro.experiments import fig1_identity_check
         with armed():
             report = fig1_identity_check(quick=True)
         assert report["identical"] is True
