@@ -3,21 +3,14 @@
 
 import pytest
 
-from repro.experiments import run_fig1
-from conftest import BENCH_SCALE
-
-SIZES = (16, 32, 64, 128)
-
 
 @pytest.fixture(scope="module")
-def fig1():
-    return run_fig1(sizes=SIZES, scale=BENCH_SCALE)
+def fig1(artifact):
+    return artifact("fig1_arch_comparison")
 
 
-def test_fig1_full_sweep(save_report, save_rows, fig1):
-    save_report("fig1_arch_comparison", fig1.render())
-    from repro.experiments import fig1_rows
-    save_rows("fig1_arch_comparison", fig1_rows(fig1))
+def test_fig1_full_sweep(committed):
+    committed("fig1_arch_comparison")
 
 
 class TestFig1Shape:

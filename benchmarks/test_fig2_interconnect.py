@@ -2,19 +2,14 @@
 
 import pytest
 
-from repro.experiments import run_fig2
-from conftest import BENCH_SCALE
-
 
 @pytest.fixture(scope="module")
-def fig2():
-    return run_fig2(sizes=(64, 128), scale=BENCH_SCALE)
+def fig2(artifact):
+    return artifact("fig2_interconnect")
 
 
-def test_fig2_sweep(save_report, save_rows, fig2):
-    save_report("fig2_interconnect", fig2.render())
-    from repro.experiments import fig2_rows
-    save_rows("fig2_interconnect", fig2_rows(fig2))
+def test_fig2_sweep(committed):
+    committed("fig2_interconnect")
 
 
 class TestFig2Shape:

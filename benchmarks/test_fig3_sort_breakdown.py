@@ -2,19 +2,14 @@
 
 import pytest
 
-from repro.experiments import run_fig3
-from conftest import BENCH_SCALE
-
 
 @pytest.fixture(scope="module")
-def fig3():
-    return run_fig3(sizes=(16, 32, 64, 128), scale=BENCH_SCALE)
+def fig3(artifact):
+    return artifact("fig3_sort_breakdown")
 
 
-def test_fig3_sweep(save_report, save_rows, fig3):
-    save_report("fig3_sort_breakdown", fig3.render())
-    from repro.experiments import fig3_rows
-    save_rows("fig3_sort_breakdown", fig3_rows(fig3))
+def test_fig3_sweep(committed):
+    committed("fig3_sort_breakdown")
 
 
 class TestFig3Shape:

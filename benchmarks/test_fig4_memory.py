@@ -7,25 +7,16 @@ thresholds.
 
 import pytest
 
-from repro.experiments import run_fig4
-from conftest import BENCH_SCALE
-
-MEMORY_TASKS = ("select", "sort", "join", "dcube", "mview")
 FLAT_TASKS = ("aggregate", "groupby", "dmine")
 
 
 @pytest.fixture(scope="module")
-def fig4():
-    return run_fig4(sizes=(16, 32, 64, 128),
-                    tasks=MEMORY_TASKS + FLAT_TASKS,
-                    memories_mb=(32, 64, 128),
-                    scale=BENCH_SCALE)
+def fig4(artifact):
+    return artifact("fig4_memory")
 
 
-def test_fig4_sweep(save_report, save_rows, fig4):
-    save_report("fig4_memory", fig4.render())
-    from repro.experiments import fig4_rows
-    save_rows("fig4_memory", fig4_rows(fig4))
+def test_fig4_sweep(committed):
+    committed("fig4_memory")
 
 
 class TestFig4Shape:

@@ -2,22 +2,17 @@
 
 import pytest
 
-from repro.experiments import run_fig5
-from conftest import BENCH_SCALE
-
 REPARTITION = ("sort", "join", "mview")
 LOCAL = ("select", "aggregate", "groupby", "dmine", "dcube")
 
 
 @pytest.fixture(scope="module")
-def fig5():
-    return run_fig5(sizes=(32, 64, 128), scale=BENCH_SCALE)
+def fig5(artifact):
+    return artifact("fig5_disk_to_disk")
 
 
-def test_fig5_sweep(save_report, save_rows, fig5):
-    save_report("fig5_disk_to_disk", fig5.render())
-    from repro.experiments import fig5_rows
-    save_rows("fig5_disk_to_disk", fig5_rows(fig5))
+def test_fig5_sweep(committed):
+    committed("fig5_disk_to_disk")
 
 
 class TestFig5Shape:

@@ -6,37 +6,12 @@ combines simulated execution times with the Table 1 cost model and
 asserts the claim holds for every task at every configuration size.
 """
 
-import pytest
 
-from repro.analysis import PricePerformance, configuration_price, \
-    price_performance_table
-from repro.experiments import config_for, run_task
-from conftest import BENCH_SCALE
-
-TASKS = ("select", "groupby", "sort", "join")
-SIZES = (16, 64, 128)
-
-
-@pytest.fixture(scope="module")
-def cells():
-    out = []
-    for task in TASKS:
-        for disks in SIZES:
-            for arch in ("active", "cluster", "smp"):
-                config = config_for(arch, disks)
-                result = run_task(config, task, BENCH_SCALE)
-                out.append(PricePerformance(
-                    task=task, arch=arch, num_disks=disks,
-                    elapsed=result.elapsed,
-                    price=configuration_price(config)))
-    return out
-
-
-def test_price_performance(save_report, cells):
-    save_report("price_performance", price_performance_table(cells))
+def test_price_performance(artifact, committed):
+    committed("price_performance")
 
     by_key = {}
-    for cell in cells:
+    for cell in artifact("price_performance"):
         by_key.setdefault((cell.task, cell.num_disks), {})[cell.arch] = cell
     for (task, disks), per_arch in by_key.items():
         active = per_arch["active"].cost_seconds

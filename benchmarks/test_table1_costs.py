@@ -1,12 +1,10 @@
 """Benchmark: regenerate Table 1 (configuration cost evolution)."""
 
 from repro.arch import cost_table, smp_cost_estimate
-from repro.experiments import run_table1
 
 
-def test_table1_costs(save_report):
-    text = run_table1(64)
-    save_report("table1_costs", text)
+def test_table1_costs(committed):
+    committed("table1_costs")
 
     rows = cost_table(64)
     # The paper's claim: Active Disks consistently about half the

@@ -5,9 +5,8 @@ Examples::
     python -m repro list
     python -m repro run --arch active --disks 64 --task sort --scale 1/32
     python -m repro run --arch active --disks 64 --task sort --restricted
-    python -m repro fig1 --sizes 16,64 --tasks select,sort --scale 1/64
-    python -m repro fig3
-    python -m repro table1
+    python -m repro build --jobs 2
+    python -m repro resume results/build.journal.jsonl
     python -m repro doctor
     python -m repro doctor --journal results/fig1.journal.jsonl
     python -m repro sweep fig1 --jobs 4 --retries 1 --scale 1/64
@@ -20,6 +19,12 @@ Examples::
     python -m repro submit fig1 --scale 1/64 --wait
     python -m repro status
     python -m repro chaos --quick --seed 7
+
+``build`` writes the paper's figures and tables — every file the
+artifact registry (``repro.experiments.ARTIFACTS``) declares — into
+``results/``, simulating each distinct configuration once through the
+journaled harness. An interrupted build is finished by ``resume``, and
+a new one refuses to start over its journal (see ``docs/HARNESS.md``).
 
 ``audit`` arms the runtime conservation-law auditors
 (``docs/INVARIANTS.md``): a seeded batch of differential fuzz cells runs
@@ -60,23 +65,11 @@ import sys
 from typing import List, Optional, Sequence
 
 from .arch import ActiveDiskConfig, MB
-from .experiments import (
-    config_for,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_table1,
-    run_table2,
-    run_task,
-)
+from .experiments import DEFAULT_SCALE, config_for, run_task
 from .service.requests import FIGURES
 from .workloads import registered_tasks
 
 __all__ = ["main", "parse_scale"]
-
-DEFAULT_SCALE = "1/32"
 
 #: Figure sweeps the harness commands know how to run and resume:
 #: name -> default farm sizes (one source of truth with the service).
@@ -146,13 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list tasks and architectures")
 
-    everything = sub.add_parser(
-        "all", help="regenerate every table and figure in one report")
-    everything.add_argument("--scale", type=parse_scale,
-                            default=DEFAULT_SCALE)
-    everything.add_argument("--sizes", type=_parse_sizes, default=None)
-    everything.add_argument("--out", default=None,
-                            help="also write the report to this file")
+    build = sub.add_parser(
+        "build", help="build the paper's figures and tables into results/ "
+                      "(journaled, resumable, each distinct "
+                      "configuration simulated once)")
+    build.add_argument("--scale", type=parse_scale, default=DEFAULT_SCALE)
+    build.add_argument("--out-dir", default="results",
+                       help="directory for the artifacts, MANIFEST.json "
+                            "and build.journal.jsonl (default results)")
+    _add_harness_flags(build)
 
     scorecard = sub.add_parser(
         "scorecard", help="check every paper claim, print pass/fail")
@@ -446,26 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--no-identity", action="store_true",
                        help="skip the armed fig1 identity check "
                             "(fuzz-only run)")
-
-    for name, helptext, extras in (
-            ("fig1", "architecture comparison (Figure 1)", "sizes tasks"),
-            ("fig2", "interconnect bandwidth (Figure 2)", "sizes tasks"),
-            ("fig3", "sort breakdown (Figure 3)", "sizes"),
-            ("fig4", "disk memory (Figure 4)", "sizes tasks"),
-            ("fig5", "disk-to-disk communication (Figure 5)",
-             "sizes tasks"),
-            ("table1", "configuration costs (Table 1)", ""),
-            ("table2", "task datasets (Table 2)", "")):
-        cmd = sub.add_parser(name, help=helptext)
-        if name.startswith("fig"):
-            cmd.add_argument("--scale", type=parse_scale,
-                             default=DEFAULT_SCALE)
-        if "sizes" in extras:
-            cmd.add_argument("--sizes", type=_parse_sizes, default=None)
-        if "tasks" in extras:
-            cmd.add_argument("--tasks", type=_parse_tasks, default=None)
-        if name == "table1":
-            cmd.add_argument("--disks", type=int, default=64)
     return parser
 
 
@@ -487,9 +462,18 @@ def _add_harness_flags(cmd) -> None:
                           "quarantined as 'oom', not retried")
 
 
-def _scale_value(args) -> float:
-    scale = getattr(args, "scale", DEFAULT_SCALE)
-    return parse_scale(scale) if isinstance(scale, str) else scale
+def _harness(args, journal: Optional[str], meta=None):
+    """A ``SweepRunner`` configured by the harness flags."""
+    from .experiments import SweepRunner
+    return SweepRunner(journal, jobs=args.jobs, timeout=args.timeout,
+                       retries=args.retries, meta=meta,
+                       memory_budget_mb=args.memory_budget)
+
+
+def _harness_line(runner) -> str:
+    counters = ", ".join(f"{name}={value}"
+                         for name, value in runner.counters.items() if value)
+    return f"harness: {counters or 'nothing to do'}"
 
 
 def _command_list(_args) -> str:
@@ -511,7 +495,7 @@ def _command_run(args) -> str:
             config = config.with_fibreswitch(args.fibreswitch)
     if args.interconnect_mb:
         config = config.with_interconnect(args.interconnect_mb * MB)
-    scale = _scale_value(args)
+    scale = args.scale
     telemetry = None
     if args.trace_out or args.metrics_out:
         from .telemetry import Telemetry
@@ -553,7 +537,7 @@ def _command_degraded(args) -> str:
     result = run_degraded_sweep(
         task=args.task, num_disks=args.disks,
         failed_disk=args.failed_disk, fail_fraction=args.fail_at,
-        scale=_scale_value(args), seed=args.seed)
+        scale=args.scale, seed=args.seed)
     lines = [
         f"{args.task} with disk.{args.failed_disk} failing at "
         f"{args.fail_at:.0%} of the clean run ({args.disks} disks)",
@@ -585,7 +569,7 @@ def _traffic_grid(args):
                 tenant_theta=args.tenant_theta,
                 task_theta=args.task_theta,
                 tasks=tuple(args.tasks) if args.tasks else (),
-                scale=_scale_value(args),
+                scale=args.scale,
                 deadline_factor=args.deadline_factor)
             grid[(arch, args.disks, load, args.policy)] = \
                 traffic_cell(tconfig)
@@ -596,7 +580,6 @@ def _command_traffic(args) -> int:
     """Offered-load sweep -> saturation-curve artifacts (or --smoke)."""
     if args.smoke:
         return _traffic_smoke(args)
-    from .experiments import SweepRunner
     from .experiments.artifacts import atomic_write_text, write_manifest
     from .experiments.export import rows_to_csv
     from .experiments.harness import execute_cells
@@ -610,9 +593,7 @@ def _command_traffic(args) -> int:
         if journal is None:
             os.makedirs(args.out_dir, exist_ok=True)
             journal = os.path.join(args.out_dir, "traffic.journal.jsonl")
-        runner = SweepRunner(journal, jobs=args.jobs, timeout=args.timeout,
-                             retries=args.retries,
-                             memory_budget_mb=args.memory_budget)
+        runner = _harness(args, journal)
     results = execute_cells(list(grid.values()), runner)
     figure = TrafficFigure({point: results[spec.key].extras
                             for point, spec in grid.items()})
@@ -626,10 +607,7 @@ def _command_traffic(args) -> int:
     print(text)
     tail = []
     if runner is not None:
-        counters = ", ".join(f"{name}={value}"
-                             for name, value in runner.counters.items()
-                             if value)
-        tail.append(f"harness: {counters or 'nothing to do'}")
+        tail.append(_harness_line(runner))
         tail.append(f"journal: {journal}")
     tail.append(f"artifacts: {args.out_dir}/traffic.txt, "
                 f"{args.out_dir}/traffic.csv "
@@ -661,7 +639,7 @@ def _traffic_smoke(args) -> int:
             queue_capacity=args.queue_capacity, tenants=args.tenants,
             tenant_theta=args.tenant_theta, task_theta=args.task_theta,
             tasks=tuple(args.tasks) if args.tasks else (),
-            scale=_scale_value(args), deadline_factor=0.0)
+            scale=args.scale, deadline_factor=0.0)
 
     failures = []
     lines = ["traffic smoke: open-loop overload gate (deadlines off)"]
@@ -716,12 +694,8 @@ def _traffic_smoke(args) -> int:
 
 
 def _run_figure_sweep(figure: str, sizes, tasks, scale: float,
-                      journal: Optional[str], out_dir: str,
-                      jobs: int, timeout: Optional[float],
-                      retries: int,
-                      memory_budget: Optional[int] = None) -> str:
+                      journal: Optional[str], out_dir: str, args) -> str:
     """Run one figure through the harness and write crash-safe artifacts."""
-    from .experiments import SweepRunner
     from .service.requests import SweepRequest
 
     request = SweepRequest(figure=figure,
@@ -731,24 +705,44 @@ def _run_figure_sweep(figure: str, sizes, tasks, scale: float,
     os.makedirs(out_dir, exist_ok=True)
     if journal is None:
         journal = os.path.join(out_dir, f"{figure}.journal.jsonl")
-    runner = SweepRunner(journal, jobs=jobs, timeout=timeout,
-                         retries=retries, meta=request.meta(),
-                         memory_budget_mb=memory_budget)
+    runner = _harness(args, journal, request.meta())
     text = request.run_with(runner)
-    counters = ", ".join(f"{name}={value}"
-                         for name, value in runner.counters.items() if value)
     return (f"{text}\n\n"
-            f"harness: {counters or 'nothing to do'}\n"
+            f"{_harness_line(runner)}\n"
             f"journal: {journal}\n"
             f"artifacts: {out_dir}/{figure}.txt, {out_dir}/{figure}.csv "
             f"(checksums in {out_dir}/MANIFEST.json)")
 
 
 def _command_sweep(args) -> str:
-    return _run_figure_sweep(
-        args.figure, args.sizes, args.tasks, _scale_value(args),
-        args.journal, args.out_dir, args.jobs, args.timeout, args.retries,
-        args.memory_budget)
+    return _run_figure_sweep(args.figure, args.sizes, args.tasks, args.scale,
+                             args.journal, args.out_dir, args)
+
+
+def _run_build(names, scale: float, journal: str, out_dir: str,
+               args) -> str:
+    """Build artifacts through the journaled harness; the journal goes
+    once every file and MANIFEST.json is written."""
+    from .experiments import build_artifacts
+
+    runner = _harness(args, journal, {"artifacts": names, "scale": scale,
+                                      "out_dir": out_dir})
+    build = build_artifacts(out_dir, names, scale=scale, runner=runner)
+    os.unlink(journal)
+    return "\n".join([f"wrote {path}" for path in build.files] + [
+        f"cells: {build.declared} declared, {build.distinct} distinct "
+        f"configurations", _harness_line(runner)])
+
+
+def _command_build(args) -> str:
+    from .experiments import ARTIFACTS, BUILD_JOURNAL
+
+    journal = os.path.join(args.out_dir, BUILD_JOURNAL)
+    if os.path.exists(journal):
+        raise ValueError(f"{journal} exists: an earlier build did not "
+                         f"finish; run 'repro resume {journal}' or delete it")
+    return _run_build(list(ARTIFACTS), args.scale, journal, args.out_dir,
+                      args)
 
 
 def _command_resume(args) -> str:
@@ -756,14 +750,15 @@ def _command_resume(args) -> str:
 
     journal = SweepJournal.load(args.journal)
     meta = journal.meta
+    out_dir = args.out_dir or meta.get("out_dir") or (
+        os.path.dirname(args.journal) or ".")
+    if "artifacts" in meta:
+        return _run_build(meta["artifacts"], meta["scale"], args.journal,
+                          out_dir, args)
     if meta.get("figure") in FIG_SWEEPS:
-        out_dir = args.out_dir or meta.get("out_dir") or (
-            os.path.dirname(args.journal) or ".")
         return _run_figure_sweep(
             meta["figure"], meta.get("sizes"), meta.get("tasks"),
-            meta.get("scale", parse_scale(DEFAULT_SCALE)),
-            args.journal, out_dir, args.jobs, args.timeout, args.retries,
-            args.memory_budget)
+            meta.get("scale", DEFAULT_SCALE), args.journal, out_dir, args)
     # A journal without driver metadata: just complete its cells.
     _, results = resume_sweep(args.journal, jobs=args.jobs,
                               timeout=args.timeout, retries=args.retries,
@@ -799,7 +794,7 @@ def _command_serve(args) -> int:
 
 def _command_submit(args) -> int:
     from .service.server import submit_request
-    request = {"figure": args.figure, "scale": _scale_value(args)}
+    request = {"figure": args.figure, "scale": args.scale}
     if args.sizes:
         request["sizes"] = list(args.sizes)
     if args.tasks:
@@ -1171,11 +1166,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_crashtest(args)
     if args.command == "audit":
         return _command_audit(args)
-    if args.command in ("sweep", "resume"):
+    if args.command in ("build", "sweep", "resume"):
         from .experiments import SweepInterrupted
+        command = {"build": _command_build, "sweep": _command_sweep,
+                   "resume": _command_resume}[args.command]
         try:
-            print(_command_sweep(args) if args.command == "sweep"
-                  else _command_resume(args))
+            print(command(args))
         except SweepInterrupted as exc:
             print(exc, file=sys.stderr)
             return 130
@@ -1185,42 +1181,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.command == "scorecard":
         from .experiments import run_scorecard
-        results, table = run_scorecard(scale=_scale_value(args))
+        results, table = run_scorecard(scale=args.scale)
         print(table)
         return 0 if all(r.passed for r in results) else 1
-    if args.command == "all":
-        from .experiments import run_all
-        report = run_all(scale=_scale_value(args), sizes=args.sizes)
-        print(report)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        return 0
-    if args.command == "table1":
-        print(run_table1(args.disks))
-        return 0
-    if args.command == "table2":
-        print(run_table2())
-        return 0
-    scale = _scale_value(args)
-    if args.command == "fig1":
-        print(run_fig1(sizes=args.sizes or (16, 32, 64, 128),
-                       tasks=args.tasks, scale=scale).render())
-    elif args.command == "fig2":
-        print(run_fig2(sizes=args.sizes or (64, 128),
-                       tasks=args.tasks, scale=scale).render())
-    elif args.command == "fig3":
-        print(run_fig3(sizes=args.sizes or (16, 32, 64, 128),
-                       scale=scale).render())
-    elif args.command == "fig4":
-        print(run_fig4(sizes=args.sizes or (16, 32, 64, 128),
-                       tasks=args.tasks, scale=scale).render())
-    elif args.command == "fig5":
-        print(run_fig5(sizes=args.sizes or (32, 64, 128),
-                       tasks=args.tasks, scale=scale).render())
-    else:  # pragma: no cover - argparse enforces choices
-        raise AssertionError(args.command)
-    return 0
+    raise AssertionError(args.command)  # pragma: no cover - argparse
 
 
 if __name__ == "__main__":  # pragma: no cover

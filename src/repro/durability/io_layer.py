@@ -30,7 +30,7 @@ state back onto disk before anything reads it.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from typing import BinaryIO, Tuple
 
@@ -89,10 +89,18 @@ class RealIO(IOLayer):
 
     def mkstemp(self, directory: str, prefix: str,
                 suffix: str) -> Tuple[BinaryIO, str]:
-        """Create an exclusive temporary file; returns (handle, path)."""
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix,
-                                   suffix=suffix)
-        return os.fdopen(fd, "wb"), tmp
+        """Create an exclusive temporary file; returns (handle, path).
+
+        Its mode is 0666 less the umask, as ``open`` gives any new file,
+        not ``tempfile.mkstemp``'s 0600.
+        """
+        while True:
+            tmp = os.path.join(directory,
+                               f"{prefix}{secrets.token_hex(4)}{suffix}")
+            try:
+                return open(tmp, "xb"), tmp
+            except FileExistsError:
+                continue
 
     def write(self, handle: BinaryIO, data: bytes) -> None:
         """Write ``data`` and flush it to the OS (not yet durable)."""

@@ -1,4 +1,4 @@
-"""Experiment drivers regenerating every table and figure of the paper."""
+"""Experiment drivers and the registry that builds the paper's figures and tables."""
 
 from .figures import (
     Fig1Result,
@@ -56,7 +56,7 @@ from .workers import (
 )
 from .report import render_bars, render_grouped_bars, render_series, render_table
 from .scorecard import Claim, ClaimResult, paper_claims, run_scorecard
-from .summary import run_all
+from .registry import ARTIFACTS, BUILD_JOURNAL, build_artifacts
 from .runner import (
     ARCHITECTURES,
     DEFAULT_SCALE,
@@ -74,7 +74,7 @@ __all__ = [
     "run_fig1", "run_fig2", "run_fig3", "run_fig4", "run_fig5",
     "Fig1Result", "Fig2Result", "Fig3Result", "Fig4Result", "Fig5Result",
     "render_table", "render_series", "render_bars", "render_grouped_bars",
-    "run_all",
+    "ARTIFACTS", "BUILD_JOURNAL", "build_artifacts",
     "fig1_rows", "fig2_rows", "fig3_rows", "fig4_rows", "fig5_rows",
     "rows_to_csv", "rows_to_json",
     "fig1_identity_check", "IdentityDrift", "FIG1_BASELINE",

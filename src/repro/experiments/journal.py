@@ -83,10 +83,11 @@ class JournalWriteError(OSError):
 def record_crc(record: Dict) -> int:
     """CRC32 of a record's canonical JSON (sorted keys, no ``crc``).
 
-    The canonical form is exactly what :meth:`AppendLog._append`
-    writes, so recomputing it over a loaded record is stable: ``json``
-    round-trips floats via ``repr`` and re-escapes strings
-    identically.
+    :meth:`AppendLog._append` writes keys in their given order, so a
+    reloaded result keeps the order of its ``busy`` and ``extras`` keys
+    (Figure 3's rows follow it). The checksum sorts them, and
+    recomputing it over a loaded record is stable: ``json`` round-trips
+    floats via ``repr`` and re-escapes strings identically.
     """
     payload = {key: value for key, value in record.items() if key != "crc"}
     return zlib.crc32(json.dumps(payload, sort_keys=True).encode("utf-8"))
@@ -213,7 +214,7 @@ class AppendLog:
         stamped["crc"] = record_crc(record)
         # One write call per record: appends from concurrent processes
         # (coordinator + a late worker flush) land as whole lines.
-        line = (json.dumps(stamped, sort_keys=True) + "\n").encode("utf-8")
+        line = (json.dumps(stamped) + "\n").encode("utf-8")
         io = current_io()
         attempts = max(1, self.write_retries + 1)
         # Phase 1: land the complete line. A failed try aborts cleanly

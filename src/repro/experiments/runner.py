@@ -28,10 +28,11 @@ __all__ = ["ARCHITECTURES", "config_for", "run_task",
 
 ARCHITECTURES = ("active", "cluster", "smp")
 
-#: Default simulation scale for the experiment drivers: 1/16 of the
-#: paper's dataset sizes keeps a full figure sweep in the minutes range
-#: while preserving every bandwidth/compute ratio (see DESIGN.md).
-DEFAULT_SCALE = 1.0 / 16.0
+#: The committed scale: every file in ``results/`` is built at 1/32 of
+#: the paper's dataset sizes, and every driver, cell and CLI command
+#: defaults to it. Bandwidth/compute ratios do not depend on the scale
+#: (DESIGN.md §2).
+DEFAULT_SCALE = 1.0 / 32.0
 
 
 _CONFIG_CLASSES = {

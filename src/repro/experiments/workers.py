@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..arch import RunResult
 from .artifacts import result_from_dict, result_to_dict
 from .lifecycle import CellLedger, CellOutcome
+from .runner import DEFAULT_SCALE, config_for, run_task
 
 __all__ = ["CellSpec", "CellOutcome", "run_cells", "run_ledger", "run_cell",
            "build_config", "drain_pool"]
@@ -48,7 +49,7 @@ class CellSpec:
     arch: str
     num_disks: int
     variant: str = "base"
-    scale: float = 1.0 / 16.0
+    scale: float = DEFAULT_SCALE
     memory_mb: Optional[int] = None
     interconnect_mb: Optional[float] = None
     restricted: bool = False
@@ -98,8 +99,6 @@ class CellSpec:
 
 def build_config(spec: CellSpec):
     """Materialize the :class:`ArchConfig` a spec describes."""
-    from .runner import config_for
-
     overrides = {}
     if spec.drive is not None:
         if spec.drive not in DRIVE_NAMES:
@@ -129,8 +128,6 @@ def run_cell(spec: CellSpec, invariants=None) -> RunResult:
     pool quarantines immediately — a deterministic modelling defect is
     not worth retrying.
     """
-    from .runner import run_task
-
     if spec.traffic is not None:
         from ..traffic.driver import run_traffic_cell
         return run_traffic_cell(spec)

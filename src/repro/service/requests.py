@@ -20,25 +20,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..experiments.artifacts import atomic_write_text, write_manifest
-from ..experiments.export import (
-    fig1_rows,
-    fig2_rows,
-    fig3_rows,
-    fig4_rows,
-    fig5_rows,
-    rows_to_csv,
-)
-from ..experiments.figures import (
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-)
 from ..experiments.harness import SweepRunner
+from ..experiments.registry import (
+    FIGURE_DRIVERS,
+    FigureDriver,
+    declared_cells,
+)
 from ..experiments.runner import DEFAULT_SCALE
 from ..experiments.workers import CellSpec
 from ..traffic.driver import (
@@ -51,46 +41,15 @@ from ..workloads import registered_tasks
 __all__ = ["FigureDriver", "FIGURES", "SweepRequest"]
 
 
-@dataclass(frozen=True)
-class FigureDriver:
-    """One figure's driver plus the CLI-facing defaults."""
-
-    run_fn: Callable
-    rows_fn: Callable
-    takes_tasks: bool
-    default_sizes: Tuple[int, ...]
-
-
-#: Figure sweeps the service (and ``repro sweep``) knows how to run.
+#: Figure sweeps the service (and ``repro sweep``) knows how to run: the
+#: registry's five figure drivers plus the traffic saturation curve,
+#: which stays here because ``repro.traffic`` imports the registry's
+#: package.
 FIGURES: Dict[str, FigureDriver] = {
-    "fig1": FigureDriver(run_fig1, fig1_rows, True, (16, 32, 64, 128)),
-    "fig2": FigureDriver(run_fig2, fig2_rows, True, (64, 128)),
-    "fig3": FigureDriver(run_fig3, fig3_rows, False, (16, 32, 64, 128)),
-    "fig4": FigureDriver(run_fig4, fig4_rows, True, (16, 32, 64, 128)),
-    "fig5": FigureDriver(run_fig5, fig5_rows, True, (32, 64, 128)),
+    **FIGURE_DRIVERS,
     "traffic": FigureDriver(run_traffic_figure, traffic_rows, True,
                             DEFAULT_TRAFFIC_SIZES),
 }
-
-
-class _Collected(Exception):
-    """Internal: carries the spec grid out of a collector run."""
-
-    def __init__(self, specs: List[CellSpec]):
-        super().__init__(f"{len(specs)} specs")
-        self.specs = specs
-
-
-class _SpecCollector:
-    """A runner that captures the driver's cell grid instead of running it.
-
-    Guarantees :meth:`SweepRequest.cells` is *the* grid the driver
-    would execute — there is no second grid-building code path to
-    drift.
-    """
-
-    def run(self, specs, after_cell=None):
-        raise _Collected(list(specs))
 
 
 @dataclass(frozen=True)
@@ -171,13 +130,8 @@ class SweepRequest:
 
     def cells(self) -> List[CellSpec]:
         """The exact cell grid the figure driver would execute."""
-        try:
-            FIGURES[self.figure].run_fn(runner=_SpecCollector(),
-                                        **self._driver_kwargs())
-        except _Collected as collected:
-            return collected.specs
-        raise RuntimeError(   # pragma: no cover - drivers always sweep
-            f"{self.figure} driver never executed its cell grid")
+        return declared_cells(lambda runner: FIGURES[self.figure].run_fn(
+            runner=runner, **self._driver_kwargs()))
 
     # --------------------------------------------------------- execution
     def run_with(self, runner) -> str:
@@ -188,15 +142,13 @@ class SweepRequest:
         ``out_dir`` via atomic writes.
         """
         driver = FIGURES[self.figure]
-        result = driver.run_fn(runner=runner, **self._driver_kwargs())
-        text = result.render()
-        os.makedirs(self.out_dir, exist_ok=True)
-        atomic_write_text(os.path.join(self.out_dir, f"{self.figure}.txt"),
-                          text + "\n")
-        atomic_write_text(os.path.join(self.out_dir, f"{self.figure}.csv"),
-                          rows_to_csv(driver.rows_fn(result)))
+        text, csv = driver.render(driver.run_fn(runner=runner,
+                                                **self._driver_kwargs()))
+        for suffix, content in ((".txt", text), (".csv", csv)):
+            atomic_write_text(
+                os.path.join(self.out_dir, self.figure + suffix), content)
         write_manifest(self.out_dir)
-        return text
+        return text.rstrip("\n")
 
     def finalize(self, journal_path: str) -> str:
         """Rebuild the figure from a completed journal (all cache hits)."""

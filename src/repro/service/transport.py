@@ -172,7 +172,7 @@ class _InProcChannel(Channel):
         # Round-trip through JSON so in-process behaviour matches the
         # socket transport exactly (no shared mutable state, and a
         # non-serializable message fails here, not in production).
-        partner._inbox.put(json.loads(json.dumps(message, sort_keys=True)))
+        partner._inbox.put(json.loads(json.dumps(message)))
 
     def send_text(self, text: str) -> None:
         if self._closed:
@@ -292,7 +292,7 @@ class _SocketChannel(Channel):
 
     def send(self, message: Dict) -> None:
         self._send_bytes(
-            (json.dumps(message, sort_keys=True) + "\n").encode("utf-8"))
+            (json.dumps(message) + "\n").encode("utf-8"))
 
     def send_text(self, text: str) -> None:
         self._send_bytes((text + "\n").encode("utf-8", "replace"))

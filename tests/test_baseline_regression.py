@@ -2,8 +2,9 @@
 
 ``baselines/fig1_small.json`` stores the simulator's output for a small
 deterministic workload. Simulations are seed-free and deterministic, so
-any drift here is a *code change* touching the models — this test makes
-such changes visible and deliberate (regenerate with the snippet in
+a fresh run must reproduce the file byte for byte, and any drift is a
+*code change* touching the models — this test makes such changes
+visible and deliberate (regenerate with the snippet in
 ``baselines/README.md`` when a drift is intended).
 """
 
@@ -12,8 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import fig1_rows, run_fig1
-from repro.experiments.regression import compare_rows, render_regressions
+from repro.experiments import fig1_rows, rows_to_json, run_fig1
 
 BASELINE = (pathlib.Path(__file__).resolve().parent.parent
             / "baselines" / "fig1_small.json")
@@ -33,13 +33,9 @@ class TestBaseline:
         assert {"task", "arch", "elapsed_s"} <= set(rows[0])
 
     def test_no_unintended_drift(self, fresh_rows):
-        baseline = json.loads(BASELINE.read_text())
-        regressions = compare_rows(baseline, fresh_rows,
-                                   metric="elapsed_s", tolerance=0.02)
-        assert not regressions, (
+        assert rows_to_json(fresh_rows).encode() == BASELINE.read_bytes(), (
             "simulator output drifted from baselines/fig1_small.json "
-            "— if intentional, regenerate the baseline:\n"
-            + render_regressions(regressions))
+            "— if intentional, regenerate the baseline")
 
     def test_cell_count_stable(self, fresh_rows):
         baseline = json.loads(BASELINE.read_text())

@@ -41,7 +41,8 @@ class TestParser:
 
     def test_bad_task_list_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig1", "--tasks", "select,vacuum"])
+            build_parser().parse_args(
+                ["sweep", "fig1", "--tasks", "select,vacuum"])
 
 
 class TestCommands:
@@ -67,24 +68,6 @@ class TestCommands:
         assert main(["run", "--arch", "active", "--disks", "8",
                      "--task", "sort", "--scale", "1/256",
                      "--fibreswitch", "4"]) == 0
-
-    def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        assert "8/98" in capsys.readouterr().out
-
-    def test_table2(self, capsys):
-        assert main(["table2"]) == 0
-        assert "dmine" in capsys.readouterr().out
-
-    def test_fig1_small(self, capsys):
-        assert main(["fig1", "--sizes", "4", "--tasks", "select",
-                     "--scale", "1/256"]) == 0
-        assert "Figure 1" in capsys.readouterr().out
-
-    def test_fig5_small(self, capsys):
-        assert main(["fig5", "--sizes", "4", "--tasks", "select",
-                     "--scale", "1/256"]) == 0
-        assert "Figure 5" in capsys.readouterr().out
 
 
 class TestHarnessCommands:

@@ -116,12 +116,3 @@ class TestPhaseBarriers:
             sim.run()
             return sim.now
         assert barrier_cost(64) > barrier_cost(4)
-
-
-class TestRunAll:
-    def test_report_contains_every_artifact(self):
-        from repro.experiments import run_all
-        report = run_all(scale=1 / 512, sizes=(4,))
-        for token in ("Table 1", "Table 2", "Figure 1", "Figure 2",
-                      "Figure 3", "Figure 4", "Figure 5"):
-            assert token in report

@@ -1,12 +1,7 @@
-"""Tests for broadcast/scatter/gather and the regression comparator."""
+"""Tests for broadcast/scatter/gather."""
 
 import pytest
 
-from repro.experiments.regression import (
-    Regression,
-    compare_rows,
-    render_regressions,
-)
 from repro.net import FatTree, Messaging, Network
 from repro.sim import Simulator
 
@@ -58,53 +53,3 @@ class TestScatterGather:
         sim, _ = run_collective(8, "scatter", 0, 512 * KB, key="s")
         wire = 512 * KB / 12_500_000
         assert sim.now >= 7 * wire
-
-
-def row(figure="fig1", task="select", arch="active", disks=16,
-        elapsed=1.0):
-    return {"figure": figure, "task": task, "arch": arch,
-            "disks": disks, "elapsed_s": elapsed}
-
-
-class TestRegressionComparison:
-    def test_no_change_no_regressions(self):
-        rows = [row(), row(task="sort", elapsed=5.0)]
-        assert compare_rows(rows, [dict(r) for r in rows]) == []
-
-    def test_detects_slowdown(self):
-        baseline = [row(elapsed=1.0)]
-        current = [row(elapsed=1.2)]
-        found = compare_rows(baseline, current, tolerance=0.05)
-        assert len(found) == 1
-        assert found[0].change == pytest.approx(0.2)
-
-    def test_within_tolerance_ignored(self):
-        baseline = [row(elapsed=1.0)]
-        current = [row(elapsed=1.03)]
-        assert compare_rows(baseline, current, tolerance=0.05) == []
-
-    def test_new_cells_ignored(self):
-        baseline = [row()]
-        current = [row(), row(task="sort", elapsed=9.0)]
-        assert compare_rows(baseline, current) == []
-
-    def test_sorted_by_magnitude(self):
-        baseline = [row(task="a", elapsed=1.0), row(task="b", elapsed=1.0)]
-        current = [row(task="a", elapsed=1.1), row(task="b", elapsed=2.0)]
-        found = compare_rows(baseline, current, tolerance=0.05)
-        assert [dict(f.key)["task"] for f in found] == ["b", "a"]
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_rows([], [], tolerance=-0.1)
-
-    def test_render(self):
-        found = compare_rows([row(elapsed=1.0)], [row(elapsed=2.0)])
-        text = render_regressions(found)
-        assert "select" in text and "+100.0%" in text
-        assert render_regressions([]) == "no regressions"
-
-    def test_zero_baseline(self):
-        regression = Regression(key=(), metric="x", baseline=0.0,
-                                current=1.0)
-        assert regression.change == float("inf")

@@ -82,6 +82,19 @@ class TestIoScope:
         assert current_io() is REAL_IO
 
 
+class TestArtifactMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["022", "027"])
+    def test_atomic_write_takes_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(str(tmp_path / "fig.csv"), "a,b\n")
+        finally:
+            os.umask(previous)
+        assert os.stat(tmp_path / "fig.csv").st_mode & 0o777 == mode
+        assert os.listdir(tmp_path) == ["fig.csv"]
+
+
 # ----------------------------------------------------------- fault injection
 def _run_journal(path, keys=("a", "b", "c")):
     with SweepJournal.load(path) as journal:

@@ -50,6 +50,9 @@ class TestTables:
         for token in ("8/98", "11/98", "7/99", "SMP"):
             assert token in text
 
+    def test_table1_names_its_farm_size(self):
+        assert "128-node" in run_table1(128)
+
     def test_table2_lists_all_tasks(self):
         text = run_table2()
         for task in ("select", "dcube", "dmine", "mview"):

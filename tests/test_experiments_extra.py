@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cli import main
 from repro.experiments import (
     Sweep,
     SweepCell,
@@ -61,30 +60,3 @@ class TestFigureObjects:
         result = run_fig5(sizes=(4,), tasks=("aggregate",), scale=TINY)
         assert ("aggregate", 4, "direct") in result.elapsed
         assert ("aggregate", 4, "restricted") in result.elapsed
-
-
-class TestCliPaths:
-    def test_all_with_out_file(self, tmp_path, capsys):
-        out = tmp_path / "report.txt"
-        assert main(["all", "--sizes", "4", "--scale", "1/512",
-                     "--out", str(out)]) == 0
-        assert "Figure 5" in out.read_text()
-        capsys.readouterr()
-
-    def test_fig2_cli(self, capsys):
-        assert main(["fig2", "--sizes", "4", "--tasks", "select",
-                     "--scale", "1/512"]) == 0
-        assert "Figure 2" in capsys.readouterr().out
-
-    def test_fig3_cli(self, capsys):
-        assert main(["fig3", "--sizes", "4", "--scale", "1/512"]) == 0
-        assert "Figure 3" in capsys.readouterr().out
-
-    def test_fig4_cli(self, capsys):
-        assert main(["fig4", "--sizes", "4", "--tasks", "select",
-                     "--scale", "1/512"]) == 0
-        assert "Figure 4" in capsys.readouterr().out
-
-    def test_table1_custom_disks(self, capsys):
-        assert main(["table1", "--disks", "128"]) == 0
-        assert "128-node" in capsys.readouterr().out

@@ -7,13 +7,11 @@ by a tier-1 test: the harness must neither perturb results nor lose
 precision when cells are reloaded from the journal.
 """
 
-import json
 import pathlib
 
 import pytest
 
-from repro.experiments import SweepRunner, fig1_rows, run_fig1
-from repro.experiments.regression import compare_rows, render_regressions
+from repro.experiments import SweepRunner, fig1_rows, rows_to_json, run_fig1
 
 BASELINE = (pathlib.Path(__file__).resolve().parent.parent
             / "baselines" / "fig1_small.json")
@@ -37,12 +35,8 @@ def harness_rows(journal_path):
 
 class TestHarnessBaseline:
     def test_no_drift_through_the_harness(self, harness_rows):
-        baseline = json.loads(BASELINE.read_text())
-        regressions = compare_rows(baseline, harness_rows,
-                                   metric="elapsed_s", tolerance=0.02)
-        assert not regressions, (
-            "harness-run sweep drifted from baselines/fig1_small.json:\n"
-            + render_regressions(regressions))
+        assert rows_to_json(harness_rows).encode() == BASELINE.read_bytes(), (
+            "harness-run sweep drifted from baselines/fig1_small.json")
 
     def test_journal_replay_is_bit_identical(self, journal_path,
                                              harness_rows):

@@ -40,6 +40,14 @@ class TestRecordCrc:
         reloaded = json.loads(json.dumps(record, sort_keys=True))
         assert record_crc(reloaded) == record_crc(record)
 
+    def test_reloaded_result_keeps_key_order(self, tmp_path):
+        path = str(tmp_path / "sweep.journal.jsonl")
+        busy = {"sort": 1.0, "append": 2.0, "idle": 0.5}
+        with SweepJournal.load(path) as journal:
+            journal.note_cell("a", "done", result={"busy": busy})
+        reloaded = SweepJournal.load(path).cells["a"].result["busy"]
+        assert list(reloaded) == list(busy)
+
     def test_legacy_crc_less_records_are_accepted(self, tmp_path):
         path = str(tmp_path / "legacy.journal.jsonl")
         records = [

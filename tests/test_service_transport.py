@@ -84,6 +84,13 @@ class TestChannelContract:
         near.send({"sizes": (16, 32)})
         assert far.recv(1.0) == {"sizes": [16, 32]}
 
+    def test_key_order_survives_transit(self, pair):
+        # A result's busy buckets arrive in the order they were
+        # recorded: Figure 3's CSV rows follow it.
+        near, far = pair
+        near.send({"busy": {"sort": 1.0, "append": 2.0}})
+        assert list(far.recv(1.0)["busy"]) == ["sort", "append"]
+
     def test_close_raises_channel_closed_on_peer(self, pair):
         near, far = pair
         near.send({"last": True})
