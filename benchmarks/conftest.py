@@ -1,26 +1,17 @@
 """Shared benchmark configuration.
 
-Figure and table modules build their registry artifact inline into a
-temporary directory, through one session-wide cache keyed by
-configuration, and require each file to equal the committed one under
-``results/`` byte for byte. The ablations and the query suite still
-write their reports into ``results/``, at the committed scale.
+Each module builds its registry artifact inline into a temporary
+directory, through one session-wide cache keyed by configuration, and
+requires each file to equal the committed one under ``results/`` byte
+for byte. Nothing here writes to ``results/``: ``python -m repro build``
+is its one producer.
 """
 
 import pathlib
 
 import pytest
 
-from repro.experiments import (
-    ARTIFACTS,
-    DEFAULT_SCALE,
-    atomic_write_text,
-    build_artifacts,
-    write_manifest,
-)
-
-#: Simulation scale for benchmarks (fraction of the paper's data sizes).
-BENCH_SCALE = DEFAULT_SCALE
+from repro.experiments import ARTIFACTS, build_artifacts
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -57,19 +48,3 @@ def committed(artifact, build_dir):
                 f"{file} differs from results/{file}; rebuild with "
                 f"'python -m repro build' if the change is intended")
     return _check
-
-
-@pytest.fixture(scope="session")
-def save_report():
-    """Persist a text report crash-safely (tmp file + atomic rename)."""
-    def _save(name: str, text: str) -> None:
-        atomic_write_text(str(RESULTS_DIR / f"{name}.txt"), text + "\n")
-        print(f"\n{text}\n")
-    return _save
-
-
-@pytest.fixture(scope="session", autouse=True)
-def refresh_manifest():
-    """Re-checksum results/ after the benchmark session's writes."""
-    yield
-    write_manifest(str(RESULTS_DIR))

@@ -9,46 +9,14 @@ dual loop and on FibreSwitch fabrics of growing segment counts, showing
 the recommendation pays off exactly where the dual loop saturates.
 """
 
-import pytest
 
-from repro.arch import ActiveDiskConfig
-from repro.experiments import run_task
-from conftest import BENCH_SCALE
-
-
-def sort_elapsed(disks, segments=None):
-    config = ActiveDiskConfig(num_disks=disks)
-    if segments is not None:
-        config = config.with_fibreswitch(segments)
-    return run_task(config, "sort", BENCH_SCALE).elapsed
-
-
-def test_fibreswitch_scaling(save_report):
-    rows = {}
-    for disks in (64, 128):
-        base = sort_elapsed(disks)
-        rows[disks] = [("dual loop (200 MB/s)", base)]
-        for segments in (4, 8):
-            rows[disks].append(
-                (f"fibreswitch x{segments} (~{segments * 100} MB/s)",
-                 sort_elapsed(disks, segments)))
-    lines = ["Ablation: FibreSwitch vs dual FC-AL (external sort)"]
-    for disks, entries in rows.items():
-        lines.append(f"{disks} disks:")
-        base = entries[0][1]
-        for label, value in entries:
-            lines.append(f"  {label:28s} {value:7.2f}s "
-                         f"({base / value:4.2f}x vs dual loop)")
-    save_report("ablation_fibreswitch", "\n".join(lines))
+def test_fibreswitch_scaling(artifact, committed):
+    committed("ablation_fibreswitch")
+    elapsed = artifact("ablation_fibreswitch")
 
     # At 128 disks (loop saturated) an 8-segment switch must win big;
     # at 64 disks (loop sufficient, per the paper) gains stay modest.
-    at_128 = dict(rows[128])
-    at_64 = dict(rows[64])
-    assert at_128["fibreswitch x8 (~800 MB/s)"] < \
-        0.8 * at_128["dual loop (200 MB/s)"]
-    gain_64 = (at_64["dual loop (200 MB/s)"]
-               / at_64["fibreswitch x8 (~800 MB/s)"])
-    gain_128 = (at_128["dual loop (200 MB/s)"]
-                / at_128["fibreswitch x8 (~800 MB/s)"])
+    assert elapsed[(128, 8)] < 0.8 * elapsed[(128, None)]
+    gain_64 = elapsed[(64, None)] / elapsed[(64, 8)]
+    gain_128 = elapsed[(128, None)] / elapsed[(128, 8)]
     assert gain_128 > gain_64

@@ -10,33 +10,11 @@ prefer the loop.
 
 import pytest
 
-from repro.arch import ActiveDiskConfig
-from repro.experiments import run_task, render_table
-from conftest import BENCH_SCALE
 
-TASKS = ("sort", "groupby", "select", "aggregate")
-
-
-def elapsed(disks, task, ethernet):
-    config = ActiveDiskConfig(num_disks=disks)
-    if ethernet:
-        config = config.with_ethernet()
-    return run_task(config, task, BENCH_SCALE).elapsed
-
-
-def test_nasd_fabric(save_report):
-    rows = []
-    ratios = {}
-    for disks in (16, 128):
-        for task in TASKS:
-            fc = elapsed(disks, task, ethernet=False)
-            eth = elapsed(disks, task, ethernet=True)
-            ratios[(disks, task)] = eth / fc
-            rows.append((f"{task}@{disks}", f"{fc:.2f}s", f"{eth:.2f}s",
-                         f"{eth / fc:.2f}x"))
-    save_report("ablation_nasd_fabric", render_table(
-        "Ablation: dual FC-AL vs switched-Ethernet (NASD-style) fabric",
-        ("task@disks", "FC loop", "ethernet", "eth/FC"), rows))
+def test_nasd_fabric(artifact, committed):
+    committed("ablation_nasd_fabric")
+    ratios = {key: eth / fc
+              for key, (fc, eth) in artifact("ablation_nasd_fabric").items()}
 
     # The trade-off flips with scale and task shape:
     assert ratios[(128, "sort")] < 0.85      # scaling bisection wins

@@ -7,43 +7,14 @@ degrade — partitioned parallelism's classic weakness, hidden by the
 uniform datasets.
 """
 
-import pytest
-
-from repro.experiments import config_for, run_task
-from repro.sim import Simulator
-from repro.arch import build_machine
-from repro.workloads import build_program
-from repro.workloads.skew import imbalance_factor, skewed_variant
-from conftest import BENCH_SCALE
+from repro.workloads.skew import imbalance_factor
 
 DISKS = 64
-THETAS = (0.0, 0.5, 1.0)
 
 
-def skewed_elapsed(arch, task, theta):
-    config = config_for(arch, DISKS)
-    program = build_program(task, config, BENCH_SCALE)
-    if theta > 0:
-        program = skewed_variant(program, theta)
-    sim = Simulator()
-    return build_machine(sim, config).run(program).elapsed
-
-
-def test_skew_sensitivity(save_report):
-    table = {}
-    for arch in ("active", "cluster", "smp"):
-        table[arch] = [skewed_elapsed(arch, "sort", theta)
-                       for theta in THETAS]
-    lines = [f"Ablation: Zipf key skew, sort, {DISKS} disks "
-             f"(hot-partition bound: "
-             + ", ".join(f"theta={t:g} -> {imbalance_factor(DISKS, t):.1f}x"
-                         for t in THETAS) + ")"]
-    for arch, values in table.items():
-        cells = "  ".join(
-            f"theta={theta:g}: {value:6.2f}s ({value / values[0]:4.2f}x)"
-            for theta, value in zip(THETAS, values))
-        lines.append(f"  {arch:8s} {cells}")
-    save_report("ablation_skew", "\n".join(lines))
+def test_skew_sensitivity(artifact, committed):
+    committed("ablation_skew")
+    table = artifact("ablation_skew")
 
     for arch, values in table.items():
         # Monotone degradation with skew...

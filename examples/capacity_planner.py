@@ -16,6 +16,7 @@ from repro.experiments import config_for, run_task
 TASK = "sort"            # the hardest task in the suite
 WINDOW_SECONDS = 600.0   # finish a full-dataset sort within 10 minutes
 SIZES = (16, 32, 48, 64, 96, 128)
+SCALE = 1 / 16           # of the verifying simulation
 #: The closed form assumes perfect pipeline overlap, so it is
 #: optimistic; plan with headroom and let the simulator confirm.
 SAFETY_MARGIN = 0.70
@@ -50,9 +51,9 @@ def main():
         chosen.items(),
         key=lambda kv: configuration_price(config_for(kv[0], kv[1][0])))
     print(f"\ncheapest plan: {arch} with {disks} disks — verifying by "
-          f"simulation at 1/16 scale...")
-    result = run_task(config_for(arch, disks), TASK, scale=1 / 16)
-    simulated_full = result.elapsed * 16
+          f"simulation at scale {SCALE:g}...")
+    result = run_task(config_for(arch, disks), TASK, scale=SCALE)
+    simulated_full = result.elapsed / SCALE
     print(f"simulated: {simulated_full:.1f}s full-scale-equivalent "
           f"(analytic said {estimate.seconds:.1f}s)")
     verdict = "fits" if simulated_full <= WINDOW_SECONDS else "misses"

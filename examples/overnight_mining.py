@@ -71,6 +71,10 @@ def simulate_full_dataset():
           "does not.")
 
 
-if __name__ == "__main__":
+def main():
     mine_small_sample()
     simulate_full_dataset()
+
+
+if __name__ == "__main__":
+    main()

@@ -20,11 +20,13 @@ Examples::
     python -m repro status
     python -m repro chaos --quick --seed 7
 
-``build`` writes the paper's figures and tables — every file the
-artifact registry (``repro.experiments.ARTIFACTS``) declares — into
-``results/``, simulating each distinct configuration once through the
-journaled harness. An interrupted build is finished by ``resume``, and
-a new one refuses to start over its journal (see ``docs/HARNESS.md``).
+``build`` writes every file the artifact registry
+(``repro.experiments.ARTIFACTS``) declares — the paper's figures and
+tables, the ablations and the query suite — into ``results/``,
+simulating each distinct configuration once through the journaled
+harness and the ablations' single-use knobs inline. An interrupted
+build is finished by ``resume``, and a new one refuses to start over
+its journal (see ``docs/HARNESS.md``).
 
 ``audit`` arms the runtime conservation-law auditors
 (``docs/INVARIANTS.md``): a seeded batch of differential fuzz cells runs
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list tasks and architectures")
 
     build = sub.add_parser(
-        "build", help="build the paper's figures and tables into results/ "
+        "build", help="build every committed file into results/ "
                       "(journaled, resumable, each distinct "
                       "configuration simulated once)")
     build.add_argument("--scale", type=parse_scale, default=DEFAULT_SCALE)
@@ -723,15 +725,22 @@ def _run_build(names, scale: float, journal: str, out_dir: str,
                args) -> str:
     """Build artifacts through the journaled harness; the journal goes
     once every file and MANIFEST.json is written."""
-    from .experiments import build_artifacts
+    from .experiments import SweepInterrupted, build_artifacts
 
     runner = _harness(args, journal, {"artifacts": names, "scale": scale,
                                       "out_dir": out_dir})
-    build = build_artifacts(out_dir, names, scale=scale, runner=runner)
+    try:
+        build = build_artifacts(out_dir, names, scale=scale, runner=runner)
+    except KeyboardInterrupt as exc:    # during the inline simulations
+        print(f"build interrupted — resume with: repro resume {journal}",
+              file=sys.stderr)
+        raise SweepInterrupted("build interrupted after its journaled "
+                               "cells", journal_path=journal) from exc
     os.unlink(journal)
     return "\n".join([f"wrote {path}" for path in build.files] + [
         f"cells: {build.declared} declared, {build.distinct} distinct "
-        f"configurations", _harness_line(runner)])
+        f"configurations, {build.inline} inline simulations",
+        _harness_line(runner)])
 
 
 def _command_build(args) -> str:
@@ -1168,10 +1177,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_audit(args)
     if args.command in ("build", "sweep", "resume"):
         from .experiments import SweepInterrupted
+        from .experiments.harness import _signal_shield
         command = {"build": _command_build, "sweep": _command_sweep,
                    "resume": _command_resume}[args.command]
         try:
-            print(command(args))
+            with _signal_shield():
+                print(command(args))
         except SweepInterrupted as exc:
             print(exc, file=sys.stderr)
             return 130

@@ -63,13 +63,14 @@ from .runner import (
     Sweep,
     SweepCell,
     config_for,
+    run_concurrent,
     run_task,
     run_task_with_artifacts,
 )
 
 __all__ = [
     "ARCHITECTURES", "DEFAULT_SCALE", "config_for", "run_task",
-    "run_task_with_artifacts", "Sweep", "SweepCell",
+    "run_concurrent", "run_task_with_artifacts", "Sweep", "SweepCell",
     "run_table1", "run_table2",
     "run_fig1", "run_fig2", "run_fig3", "run_fig4", "run_fig5",
     "Fig1Result", "Fig2Result", "Fig3Result", "Fig4Result", "Fig5Result",

@@ -1,9 +1,10 @@
-"""The artifact registry: each committed figure and table file, once.
+"""The artifact registry: each committed file under ``results/``, once.
 
 Each :class:`Artifact` declares a file stem under ``results/``, the
 driver call that fixes its cell grid, and the renderer of its files.
 :func:`build_artifacts` (``repro build``) runs the union of the grids,
-each distinct configuration once, and writes every file from that one
+each distinct configuration once, then the ablations' inline
+simulations (:mod:`.ablations`), and writes every file from that one
 store of results::
 
     build_artifacts("results", runner=SweepRunner(journal, jobs=2))
@@ -19,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..arch.base import RunResult
+from .ablations import ABLATIONS
 from .artifacts import MANIFEST_NAME, atomic_write_text, write_manifest
 from .export import (
     fig1_rows,
@@ -78,7 +80,8 @@ FIGURE_DRIVERS: Dict[str, FigureDriver] = {
 # ------------------------------------------------------------- runners
 class _Recorder:
     """A runner that records the cells it is asked for and answers each
-    with an empty result, which a driver only files away."""
+    with an empty result, which a driver only files away. It runs no
+    inline simulation."""
 
     def __init__(self):
         self.specs: List[CellSpec] = []
@@ -89,16 +92,25 @@ class _Recorder:
                                     0.0, [])
                 for spec in specs}
 
+    def simulate(self, fn, *args):
+        return None
+
 
 class _Store:
-    """A runner that answers each cell from built results."""
+    """A runner that answers each cell from built results, and runs
+    (and counts) each inline simulation it is asked for."""
 
     def __init__(self, results: Dict[Tuple, RunResult]):
         self.results = results
+        self.simulated = 0
 
     def run(self, specs, after_cell=None):
         return {spec.key: self.results[configuration(spec)]
                 for spec in specs}
+
+    def simulate(self, fn, *args):
+        self.simulated += 1
+        return fn(*args)
 
 
 def declared_cells(run: Callable[[object], object]) -> List[CellSpec]:
@@ -119,8 +131,9 @@ def configuration(spec: CellSpec) -> Tuple:
 @dataclass(frozen=True)
 class Artifact:
     """One committed file stem. ``run(runner, scale)`` asks ``runner``
-    for the artifact's cells and returns its result object; ``render``
-    turns that into one text per suffix."""
+    for the artifact's cells, and for any inline simulation through
+    ``runner.simulate(fn, *args)``, and returns its result object;
+    ``render`` turns that into one text per suffix."""
 
     name: str
     suffixes: Tuple[str, ...]
@@ -209,7 +222,7 @@ def _scale_invariance(runner, scale: float) -> ScaleInvariance:
         for at in (scale / 4, scale)))
 
 
-#: Every committed figure and table file stem, in build order.
+#: Every committed file stem, in build order.
 ARTIFACTS: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
     _figure("fig1_arch_comparison", "fig1"),
     _figure("fig2_interconnect", "fig2"),
@@ -223,6 +236,7 @@ ARTIFACTS: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
     _report("price_performance", _price_performance,
             _price_performance_table),
     _report("scale_invariance", _scale_invariance, ScaleInvariance.render),
+    *(_report(name, run, render) for name, run, render in ABLATIONS),
 )}
 
 
@@ -235,6 +249,7 @@ class Build:
     files: List[str]             # paths written, MANIFEST.json last
     declared: int                # cells the artifacts declare
     distinct: int                # configurations run (or journal-reloaded)
+    inline: int                  # inline simulations run
 
 
 def build_artifacts(out_dir: str, names: Optional[Sequence[str]] = None,
@@ -248,8 +263,9 @@ def build_artifacts(out_dir: str, names: Optional[Sequence[str]] = None,
     Figure 1's cells at two scales do, the later one's variant gets its
     scale appended, so journal keys stay unique. ``cache`` keeps
     results by configuration across calls; a cached configuration does
-    not run again. Each file is written atomically, then
-    ``MANIFEST.json``.
+    not run again. The ablations' inline simulations then run in this
+    process, unjournaled, as each artifact is assembled. Each file is
+    written atomically, then ``MANIFEST.json``.
     """
     artifacts = [ARTIFACTS[name] for name in (names or ARTIFACTS)]
     cache = {} if cache is None else cache
@@ -280,4 +296,4 @@ def build_artifacts(out_dir: str, names: Optional[Sequence[str]] = None,
             atomic_write_text(files[-1], text)
     write_manifest(out_dir)
     files.append(os.path.join(out_dir, MANIFEST_NAME))
-    return Build(built, files, len(declared), len(todo))
+    return Build(built, files, len(declared), len(todo), store.simulated)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..arch import (
     ActiveDiskConfig,
@@ -18,12 +18,13 @@ from ..arch import (
     ClusterConfig,
     RunResult,
     SMPConfig,
+    TaskProgram,
     build_machine,
 )
 from ..sim import Simulator
 from ..workloads import build_program
 
-__all__ = ["ARCHITECTURES", "config_for", "run_task",
+__all__ = ["ARCHITECTURES", "config_for", "run_task", "run_concurrent",
            "run_task_with_artifacts", "Sweep", "SweepCell"]
 
 ARCHITECTURES = ("active", "cluster", "smp")
@@ -66,11 +67,24 @@ def config_for(arch: str, num_disks: int, **overrides) -> ArchConfig:
     return cls(num_disks=num_disks, **overrides)
 
 
+def _simulator(invariants=None, debug: bool = False) -> Simulator:
+    """A fresh simulator with ``invariants`` (by default the auditor of
+    an enclosing :func:`repro.invariants.armed` block) installed."""
+    sim = Simulator(debug=debug)
+    if invariants is None:
+        from ..invariants import default_auditor
+        invariants = default_auditor()
+    if invariants is not None:
+        invariants.install(sim)
+    return sim
+
+
 def run_task(config: ArchConfig, task: str,
              scale: float = DEFAULT_SCALE,
              telemetry=None, fault_plan=None,
              fault_seed: Optional[int] = None,
-             invariants=None, debug: bool = False) -> RunResult:
+             invariants=None, debug: bool = False,
+             program: Optional[TaskProgram] = None) -> RunResult:
     """Simulate ``task`` on a fresh machine built from ``config``.
 
     Pass a fresh :class:`~repro.telemetry.Telemetry` hub to record a
@@ -92,14 +106,11 @@ def run_task(config: ArchConfig, task: str,
     self-registers, and any broken ledger raises a structured
     :class:`~repro.invariants.InvariantViolation`. ``debug=True`` runs
     the instrumented kernel loop instead of the fast one (same
-    simulation, every event through ``Simulator.step``).
+    simulation, every event through ``Simulator.step``). ``program``
+    runs a prebuilt program (a skewed variant, a compiled query plan)
+    in place of ``task``'s own.
     """
-    sim = Simulator(debug=debug)
-    if invariants is None:
-        from ..invariants import default_auditor
-        invariants = default_auditor()
-    if invariants is not None:
-        invariants.install(sim)
+    sim = _simulator(invariants, debug)
     if telemetry is not None:
         telemetry.install(sim)
         telemetry.meta.update({
@@ -114,13 +125,23 @@ def run_task(config: ArchConfig, task: str,
         injector = FaultInjector(fault_plan, seed=fault_seed)
         injector.install(sim)
     machine = build_machine(sim, config)
-    program = build_program(task, config, scale)
+    if program is None:
+        program = build_program(task, config, scale)
     result = machine.run(program)
     if injector is not None:
         result.extras.update(
             {key: float(value)
              for key, value in sorted(injector.counters.items())})
     return result
+
+
+def run_concurrent(config: ArchConfig, tasks: Sequence[str],
+                   scale: float = DEFAULT_SCALE) -> List[RunResult]:
+    """Simulate ``tasks`` at once on one fresh machine (a mixed
+    workload), set up as :func:`run_task` does; one result per task."""
+    machine = build_machine(_simulator(), config)
+    return machine.run_concurrent(
+        [build_program(task, config, scale) for task in tasks])
 
 
 def run_task_with_artifacts(config: ArchConfig, task: str,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import signal
 import time
 import traceback
 from dataclasses import dataclass, field, fields
@@ -169,7 +170,14 @@ def _apply_memory_budget(budget_mb: int) -> bool:
 
 def _worker_main(cell_fn, spec_dict: Dict, conn,
                  memory_budget_mb: Optional[int] = None) -> None:
-    """Entry point of one worker subprocess: run one cell, pipe it back."""
+    """Entry point of one worker subprocess: run one cell, pipe it back.
+
+    A forked worker inherits its supervisor's signal handlers. The
+    supervisor owns shutdown (:func:`drain_pool`), so the worker ignores
+    the terminal's SIGINT and lets SIGTERM end it without a traceback.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     from ..invariants import InvariantViolation
     if memory_budget_mb is not None:
         _apply_memory_budget(memory_budget_mb)

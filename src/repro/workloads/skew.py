@@ -8,8 +8,8 @@ distribution, so hot partitions concentrate on a few workers. The
 engines serialize at the hot receivers, which is the classic
 partitioned-parallelism failure mode the uniform datasets hide.
 
-This is an extension beyond the paper, exercised by
-``benchmarks/test_ablation_skew.py``.
+This is an extension beyond the paper, measured by the
+``ablation_skew`` artifact (``repro.experiments.ablations``).
 """
 
 from __future__ import annotations

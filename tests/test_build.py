@@ -1,12 +1,14 @@
 """``repro build``: the artifact registry through the journaled harness.
 
-The registry's nine artifacts declare 388 cells but only 240 distinct
-configurations; every way of building them (inline, process-parallel,
-interrupted and resumed) must simulate each configuration once and
-write the same bytes.
+The registry's 17 artifacts declare 416 cells but only 244 distinct
+configurations, plus 44 inline simulations; every way of building them
+(inline, process-parallel, interrupted and resumed) must simulate each
+configuration once and write the same bytes.
 """
 
 import os
+import pathlib
+import subprocess
 
 import pytest
 
@@ -16,34 +18,103 @@ from repro.experiments import (
     BUILD_JOURNAL,
     SweepRunner,
     build_artifacts,
+    runner as runner_module,
 )
+from repro.experiments.ablations import ABLATIONS
+from repro.invariants import InvariantAuditor, armed
 
 SCALE = 1 / 4096
 FILES = sorted([file for artifact in ARTIFACTS.values()
                 for file in artifact.files] + ["MANIFEST.json"])
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def _read(directory):
-    return {name: (directory / name).read_bytes() for name in FILES}
+def _read(directory, files=FILES):
+    return {name: (directory / name).read_bytes() for name in files}
+
+
+def _count_simulators(monkeypatch):
+    """The id of every simulator built from now on, in order. Ids, not
+    simulators: a build's worth of kept simulators slows every later
+    fork."""
+    built = []
+
+    class Counted(runner_module.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(id(self))
+    monkeypatch.setattr(runner_module, "Simulator", Counted)
+    return built
+
+
+@pytest.fixture
+def simulators(monkeypatch):
+    return _count_simulators(monkeypatch)
 
 
 @pytest.fixture(scope="module")
 def inline(tmp_path_factory):
     out = tmp_path_factory.mktemp("inline")
     runner = SweepRunner(None)
-    build = build_artifacts(str(out), scale=SCALE, runner=runner)
-    assert (build.declared, build.distinct) == (388, 240)
-    assert runner.counters["scheduled"] == 240
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        simulated = _count_simulators(monkeypatch)
+        build = build_artifacts(str(out), scale=SCALE, runner=runner)
+    assert (build.declared, build.distinct, build.inline) == (416, 244, 44)
+    # No configuration and no inline simulation runs twice.
+    assert len(simulated) == build.distinct + build.inline
+    assert runner.counters["scheduled"] == 244
     assert sorted(os.listdir(out)) == FILES
     return _read(out)
+
+
+def test_registry_owns_every_committed_file():
+    """``repro build`` is the one producer of ``results/``: the files it
+    declares are exactly the committed ones (git's list where there is
+    a checkout, else the directory's files)."""
+    try:
+        committed = subprocess.run(
+            ["git", "ls-files", "."], cwd=RESULTS, check=True,
+            capture_output=True, text=True).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        committed = os.listdir(RESULTS)
+    assert sorted(set(committed) - {"MANIFEST.json"}) == sorted(
+        file for artifact in ARTIFACTS.values() for file in artifact.files)
+
+
+def test_cells_simulate_nothing(inline, simulators):
+    """Declaring the cells runs no simulation; the ``inline`` build
+    runs each distinct one once."""
+    assert sum(len(artifact.cells(SCALE))
+               for artifact in ARTIFACTS.values()) == 416
+    assert simulators == []
+
+
+def test_armed_ablations_audit_every_simulation(inline, simulators,
+                                                monkeypatch, tmp_path):
+    installs = []
+    install = InvariantAuditor.install
+
+    def counted(self, sim):
+        installs.append((self.sim is None, id(sim)))
+        return install(self, sim)
+    monkeypatch.setattr(InvariantAuditor, "install", counted)
+    names = [name for name, _, _ in ABLATIONS]
+    with armed():
+        build_artifacts(str(tmp_path), names, scale=SCALE)
+    assert len(installs) == len(simulators) == 24 + 44
+    # Each simulator, as it is built, gets a fresh auditor.
+    assert [sim for _, sim in installs] == simulators
+    assert all(fresh for fresh, _ in installs)
+    files = [file for name in names for file in ARTIFACTS[name].files]
+    assert _read(tmp_path, files) == {name: inline[name] for name in files}
 
 
 def test_parallel_build_matches_inline(inline, tmp_path):
     runner = SweepRunner(None, jobs=2)
     build = build_artifacts(str(tmp_path), scale=SCALE, runner=runner)
-    assert build.declared == 388
-    assert runner.counters["scheduled"] == 240
-    assert runner.counters["completed"] == 240
+    assert build.declared == 416
+    assert runner.counters["scheduled"] == 244
+    assert runner.counters["completed"] == 244
     assert _read(tmp_path) == inline
 
 
@@ -70,7 +141,7 @@ def test_interrupted_build_finishes_with_resume(inline, tmp_path,
     assert main(["resume", str(journal)]) == 0
     out = capsys.readouterr().out
     assert "resumed_cells=100" in out
-    assert "completed=140" in out
+    assert "completed=144" in out
     assert not journal.exists()
     assert _read(tmp_path) == inline
 

@@ -70,3 +70,29 @@ class TestDrainPool:
         entry.conn.close()
         drain_pool([entry], grace=0.2)   # must not raise
         assert not entry.proc.is_alive()
+
+
+def _report_dispositions(spec):
+    """A cell that reports how its worker handles SIGTERM and SIGINT."""
+    from repro.arch import RunResult
+    return RunResult(spec.task, spec.arch, spec.num_disks, 0.0, [], extras={
+        "sigterm_default": float(
+            signal.getsignal(signal.SIGTERM) == signal.SIG_DFL),
+        "sigint_ignored": float(
+            signal.getsignal(signal.SIGINT) == signal.SIG_IGN)})
+
+
+class TestWorkerSignals:
+    def test_pooled_worker_leaves_shutdown_to_its_supervisor(self):
+        """Under the supervisor's shield, a forked worker must neither
+        turn SIGTERM into KeyboardInterrupt nor take the terminal's
+        SIGINT: either would print a traceback per worker."""
+        from repro.experiments.harness import _signal_shield
+        from repro.experiments.workers import run_cells
+
+        with _signal_shield():
+            [outcome] = run_cells([SPEC], jobs=2, mp_context="fork",
+                                  cell_fn=_report_dispositions)
+        assert outcome.status == "done", outcome.error
+        assert outcome.result.extras == {"sigterm_default": 1.0,
+                                         "sigint_ignored": 1.0}
