@@ -16,7 +16,7 @@ def test_skew_sensitivity(artifact, committed):
     committed("ablation_skew")
     table = artifact("ablation_skew")
 
-    for arch, values in table.items():
+    for values in table.values():
         # Monotone degradation with skew...
         assert values[0] <= values[1] * 1.02 <= values[2] * 1.04
         # ...but far below the hot-partition bound: pipelining hides

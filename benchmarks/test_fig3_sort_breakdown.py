@@ -24,9 +24,6 @@ class TestFig3Shape:
         for size in (16, 32, 64):
             assert fig3.breakdown(size)["idle"] < 0.30
 
-    def test_idle_dominates_at_128(self, fig3):
-        assert fig3.breakdown(128)["idle"] > 0.45
-
     def test_fast_disk_small_difference(self, fig3):
         """"upgrading the disks makes little difference"."""
         for size in fig3.sizes:

@@ -19,8 +19,6 @@ class TestFig5Shape:
     def test_repartition_tasks_slow_down_heavily(self, fig5):
         """"up to a five-fold slowdown for the three communication-
         intensive tasks"."""
-        for task in REPARTITION:
-            assert fig5.slowdown(task, 128) > 3.0
         assert max(fig5.slowdown(t, 128) for t in REPARTITION) > 3.8
 
     def test_slowdown_grows_with_configuration(self, fig5):

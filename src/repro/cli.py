@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scorecard = sub.add_parser(
         "scorecard", help="check every paper claim, print pass/fail")
-    scorecard.add_argument("--scale", type=parse_scale, default="1/64")
+    scorecard.add_argument("--scale", type=parse_scale, default=DEFAULT_SCALE)
 
     run = sub.add_parser("run", help="simulate one task on one machine")
     run.add_argument("--arch", choices=("active", "cluster", "smp"),
@@ -1191,10 +1191,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         return 0
     if args.command == "scorecard":
-        from .experiments import run_scorecard
-        results, table = run_scorecard(scale=args.scale)
-        print(table)
-        return 0 if all(r.passed for r in results) else 1
+        from .experiments.scorecard import run_scorecard
+        card = run_scorecard(None, args.scale)
+        print(card.render())
+        return 0 if card.passed else 1
     raise AssertionError(args.command)  # pragma: no cover - argparse
 
 

@@ -55,7 +55,6 @@ from .workers import (
     run_cells,
 )
 from .report import render_bars, render_grouped_bars, render_series, render_table
-from .scorecard import Claim, ClaimResult, paper_claims, run_scorecard
 from .registry import ARTIFACTS, BUILD_JOURNAL, build_artifacts
 from .runner import (
     ARCHITECTURES,
@@ -79,7 +78,6 @@ __all__ = [
     "fig1_rows", "fig2_rows", "fig3_rows", "fig4_rows", "fig5_rows",
     "rows_to_csv", "rows_to_json",
     "fig1_identity_check", "IdentityDrift", "FIG1_BASELINE",
-    "run_scorecard", "paper_claims", "Claim", "ClaimResult",
     "run_degraded_sweep", "drive_failure_plan",
     "DegradedCell", "DegradedResult",
     "SweepRunner", "SweepInterrupted", "SweepJournal", "AppendLog",

@@ -5,7 +5,8 @@ driver call that fixes its cell grid, and the renderer of its files.
 :func:`build_artifacts` (``repro build``) runs the union of the grids,
 each distinct configuration once, then the ablations' inline
 simulations (:mod:`.ablations`), and writes every file from that one
-store of results::
+store of results. The last artifact is the scorecard of the paper's
+claims (:mod:`.scorecard`), whose cells are all figure cells::
 
     build_artifacts("results", runner=SweepRunner(journal, jobs=2))
 
@@ -215,6 +216,11 @@ class ScaleInvariance:
         return "\n".join(lines)
 
 
+def _scorecard(runner, scale: float):
+    from .scorecard import run_scorecard  # builds no claim at import
+    return run_scorecard(runner, scale)
+
+
 def _scale_invariance(runner, scale: float) -> ScaleInvariance:
     return ScaleInvariance(*(
         run_fig1(sizes=(16, 64), tasks=("select", "sort", "groupby"),
@@ -237,6 +243,7 @@ ARTIFACTS: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
             _price_performance_table),
     _report("scale_invariance", _scale_invariance, ScaleInvariance.render),
     *(_report(name, run, render) for name, run, render in ABLATIONS),
+    _report("scorecard", _scorecard, lambda card: card.render()),
 )}
 
 

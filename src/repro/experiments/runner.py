@@ -67,10 +67,10 @@ def config_for(arch: str, num_disks: int, **overrides) -> ArchConfig:
     return cls(num_disks=num_disks, **overrides)
 
 
-def _simulator(invariants=None, debug: bool = False) -> Simulator:
+def _simulator(invariants=None) -> Simulator:
     """A fresh simulator with ``invariants`` (by default the auditor of
     an enclosing :func:`repro.invariants.armed` block) installed."""
-    sim = Simulator(debug=debug)
+    sim = Simulator()
     if invariants is None:
         from ..invariants import default_auditor
         invariants = default_auditor()
@@ -83,7 +83,7 @@ def run_task(config: ArchConfig, task: str,
              scale: float = DEFAULT_SCALE,
              telemetry=None, fault_plan=None,
              fault_seed: Optional[int] = None,
-             invariants=None, debug: bool = False,
+             invariants=None,
              program: Optional[TaskProgram] = None) -> RunResult:
     """Simulate ``task`` on a fresh machine built from ``config``.
 
@@ -104,13 +104,11 @@ def run_task(config: ArchConfig, task: str,
     ``run_task`` build its own) to audit the run's conservation laws:
     the hub is installed before the machine is built so every component
     self-registers, and any broken ledger raises a structured
-    :class:`~repro.invariants.InvariantViolation`. ``debug=True`` runs
-    the instrumented kernel loop instead of the fast one (same
-    simulation, every event through ``Simulator.step``). ``program``
-    runs a prebuilt program (a skewed variant, a compiled query plan)
-    in place of ``task``'s own.
+    :class:`~repro.invariants.InvariantViolation`. ``program`` runs a
+    prebuilt program (a skewed variant, a compiled query plan) in place
+    of ``task``'s own.
     """
-    sim = _simulator(invariants, debug)
+    sim = _simulator(invariants)
     if telemetry is not None:
         telemetry.install(sim)
         telemetry.meta.update({

@@ -13,3 +13,11 @@ def quick_fig1_identity():
     from repro.experiments import fig1_identity_check
 
     return fig1_identity_check(quick=True)
+
+
+@pytest.fixture(scope="session")
+def scorecard():
+    """The claims at 1/64, each distinct cell simulated once a session."""
+    from repro.experiments.scorecard import run_scorecard
+
+    return run_scorecard(None, 1 / 64)

@@ -1,8 +1,9 @@
 """``repro build``: the artifact registry through the journaled harness.
 
-The registry's 17 artifacts declare 416 cells but only 244 distinct
-configurations, plus 44 inline simulations; every way of building them
-(inline, process-parallel, interrupted and resumed) must simulate each
+The registry's 18 artifacts declare 479 cells but only 244 distinct
+configurations, plus 44 inline simulations: the scorecard's 63 cells
+are all figure cells. Every way of building them (inline,
+process-parallel, interrupted and resumed) must simulate each
 configuration once and write the same bytes.
 """
 
@@ -59,7 +60,7 @@ def inline(tmp_path_factory):
     with pytest.MonkeyPatch.context() as monkeypatch:
         simulated = _count_simulators(monkeypatch)
         build = build_artifacts(str(out), scale=SCALE, runner=runner)
-    assert (build.declared, build.distinct, build.inline) == (416, 244, 44)
+    assert (build.declared, build.distinct, build.inline) == (479, 244, 44)
     # No configuration and no inline simulation runs twice.
     assert len(simulated) == build.distinct + build.inline
     assert runner.counters["scheduled"] == 244
@@ -85,7 +86,7 @@ def test_cells_simulate_nothing(inline, simulators):
     """Declaring the cells runs no simulation; the ``inline`` build
     runs each distinct one once."""
     assert sum(len(artifact.cells(SCALE))
-               for artifact in ARTIFACTS.values()) == 416
+               for artifact in ARTIFACTS.values()) == 479
     assert simulators == []
 
 
@@ -112,7 +113,7 @@ def test_armed_ablations_audit_every_simulation(inline, simulators,
 def test_parallel_build_matches_inline(inline, tmp_path):
     runner = SweepRunner(None, jobs=2)
     build = build_artifacts(str(tmp_path), scale=SCALE, runner=runner)
-    assert build.declared == 416
+    assert build.declared == 479
     assert runner.counters["scheduled"] == 244
     assert runner.counters["completed"] == 244
     assert _read(tmp_path) == inline

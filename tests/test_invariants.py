@@ -144,12 +144,14 @@ class TestLoopParity:
             sim.run()
 
     @pytest.mark.parametrize("make_sim", ALL_LOOPS, ids=LOOP_IDS)
-    def test_identical_simulation_results(self, make_sim):
+    def test_identical_simulation_results(self, make_sim, monkeypatch):
+        baseline = run_task(config_for("cluster", 2), "select", scale=SMALL)
+        if make_sim is checked_sim:    # run_task builds checked simulators
+            monkeypatch.setattr("repro.experiments.runner.Simulator",
+                                checked_sim)
         result = run_task(config_for("cluster", 2), "select", scale=SMALL,
                           invariants=(InvariantAuditor()
-                                      if make_sim is audited_sim else None),
-                          debug=make_sim is checked_sim)
-        baseline = run_task(config_for("cluster", 2), "select", scale=SMALL)
+                                      if make_sim is audited_sim else None))
         assert result_to_dict(result) == result_to_dict(baseline)
 
 
