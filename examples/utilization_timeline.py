@@ -16,8 +16,8 @@ Run:  python examples/utilization_timeline.py [disks]
 import sys
 
 from repro.arch import ActiveDiskConfig, build_machine
-from repro.sim import Simulator, sparkline
-from repro.telemetry import Telemetry, write_artifacts
+from repro.sim import Simulator
+from repro.telemetry import Telemetry, sparkline, write_artifacts
 from repro.workloads import build_program
 
 SCALE = 1 / 32

@@ -24,8 +24,8 @@ because the first-order terms explain the figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..arch.config import (
     ActiveDiskConfig,
@@ -34,7 +34,6 @@ from ..arch.config import (
     SMPConfig,
 )
 from ..arch.program import Phase, TaskProgram
-from ..disk import DiskGeometry
 from ..host.cpu import REFERENCE_MHZ
 from ..interconnect.bus import FC_STARTUP_LATENCY
 from ..tracegen.costs import CLUSTER_COPY_NS

@@ -14,7 +14,7 @@ execution times into $/performance figures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..arch.config import (
     ActiveDiskConfig,

@@ -11,7 +11,7 @@ example shows the simulate-to-verify step for the chosen point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..experiments.report import render_table
 from ..experiments.runner import config_for

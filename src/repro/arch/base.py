@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from ..faults.errors import FaultError
 from ..host import Cpu
@@ -331,9 +331,9 @@ class Machine(ABC):
         if not driver.triggered or not driver.ok:
             raise RuntimeError(
                 f"{self.arch}/{program.task}: program did not complete")
-        # Prefer the program's own completion time: a telemetry sampler
-        # (or any other periodic observer) may tick once more after the
-        # last real event, advancing sim.now past the interesting part.
+        # Prefer the program's own completion time: an armed fault plan
+        # may still deliver events after the program ends, advancing
+        # sim.now past the interesting part.
         elapsed = (self._finished_at if self._finished_at is not None
                    else self.sim.now)
         return RunResult(

@@ -20,10 +20,10 @@ Data paths
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator
 
 from ..disk import DiskDrive
-from ..host import Cpu, OSParams, scaled_os_params
+from ..host import Cpu, scaled_os_params
 from ..interconnect import SerialBus
 from ..net import FatTree, Network
 from ..sim import Event, Server, Simulator

@@ -26,7 +26,7 @@ shuffle receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["CostComponent", "Phase", "TaskProgram"]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import ceil
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, List
 
 from ..disk import DiskDrive
 from ..faults.errors import DriveFailed, FaultError
@@ -34,7 +34,7 @@ from ..interconnect import BusGroup, SerialBus, dual_fc_al
 from ..sim import Event, Mutex, Simulator
 from .base import Dribble, Machine, WorkLatch, destination_cycle
 from .config import SMPConfig
-from .program import Phase, TaskProgram
+from .program import Phase
 
 __all__ = ["SharedBlockQueue", "SMPMachine"]
 

@@ -135,7 +135,7 @@ def _parse_tasks(text: str) -> List[str]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description=("Active Disks for Decision Support (HPCA 2000) — "
+        description=("Active Disks for Decision Support (HPCA 2000): "
                      "simulator and experiment harness"))
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -732,7 +732,7 @@ def _run_build(names, scale: float, journal: str, out_dir: str,
     try:
         build = build_artifacts(out_dir, names, scale=scale, runner=runner)
     except KeyboardInterrupt as exc:    # during the inline simulations
-        print(f"build interrupted — resume with: repro resume {journal}",
+        print(f"build interrupted; resume with: repro resume {journal}",
               file=sys.stderr)
         raise SweepInterrupted("build interrupted after its journaled "
                                "cells", journal_path=journal) from exc

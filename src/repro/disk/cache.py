@@ -21,7 +21,7 @@ explicitly instead of folding "sequential = fast" into the drive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 __all__ = ["CacheOutcome", "Segment", "SegmentedCache"]
 

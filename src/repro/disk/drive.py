@@ -29,7 +29,7 @@ from math import ceil
 from typing import Optional
 
 from ..faults.errors import DriveFailed
-from ..sim import BusyTracker, Event, Simulator, Store, Tally
+from ..sim import BusyTracker, Event, Simulator
 from .cache import SegmentedCache
 from .geometry import DiskGeometry
 from .mechanics import DiskMechanics
@@ -104,7 +104,6 @@ class DiskDrive:
         self.current_cylinder = 0
         self.head_lbn = 0
         self.busy = BusyTracker(name)
-        self.response_times = Tally(f"{name}.response")
         self.bytes_read = 0
         self.bytes_written = 0
         self._wakeup: Optional[Event] = None
@@ -344,11 +343,10 @@ class DiskDrive:
             self.bytes_written += request.nbytes
         else:
             self.bytes_read += request.nbytes
-        response = self.sim.now - request.issued_at
-        self.response_times.observe(response)
         tel = self._telemetry
         if tel.enabled:
-            tel.registry.histogram(f"{self._track}.response").observe(response)
+            tel.registry.histogram(f"{self._track}.response").observe(
+                self.sim.now - request.issued_at)
             tel.registry.counter(
                 f"{self._track}.bytes.{request.op}").add(request.nbytes)
         if self._audit is not None:

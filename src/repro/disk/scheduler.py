@@ -13,7 +13,7 @@ next one to service according to a discipline:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 __all__ = ["RequestQueue", "DISCIPLINES"]
 

@@ -16,8 +16,7 @@ product manuals for the drive families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 __all__ = ["DriveSpec", "SEAGATE_ST39102", "HITACHI_DK3E1T91", "fast_variant"]
 

@@ -15,10 +15,9 @@ against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .geometry import DiskGeometry
-from .mechanics import DiskMechanics
 from .specs import DriveSpec
 
 __all__ = ["ExpectedServiceTime", "expected_sequential_rate",

@@ -14,7 +14,7 @@ ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .streams import SinkKind, StreamSpec

@@ -21,7 +21,7 @@ their disklet forms, like the paper's own C implementations did).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..arch.program import CostComponent, Phase, TaskProgram
 from .disklet import Disklet

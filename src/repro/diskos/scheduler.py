@@ -18,7 +18,6 @@ conceptual model; exposed directly for DiskOS-level studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Generator
 
 from ..host import Cpu

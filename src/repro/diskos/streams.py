@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 __all__ = ["SinkKind", "StreamSpec", "StreamBufferProbe"]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 __all__ = ["render_table", "render_series", "render_bars",
            "render_grouped_bars"]

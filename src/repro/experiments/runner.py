@@ -25,7 +25,7 @@ from ..sim import Simulator
 from ..workloads import build_program
 
 __all__ = ["ARCHITECTURES", "config_for", "run_task", "run_concurrent",
-           "run_task_with_artifacts", "Sweep", "SweepCell"]
+           "Sweep", "SweepCell"]
 
 ARCHITECTURES = ("active", "cluster", "smp")
 
@@ -140,27 +140,6 @@ def run_concurrent(config: ArchConfig, tasks: Sequence[str],
     machine = build_machine(_simulator(), config)
     return machine.run_concurrent(
         [build_program(task, config, scale) for task in tasks])
-
-
-def run_task_with_artifacts(config: ArchConfig, task: str,
-                            directory: str,
-                            scale: float = DEFAULT_SCALE,
-                            sample_interval: Optional[float] = 0.25,
-                            prefix: Optional[str] = None) -> RunResult:
-    """Run a task with telemetry and write trace/metrics/summary files.
-
-    Artifacts land in ``directory`` as ``{prefix}.trace.json``,
-    ``{prefix}.metrics.json`` and ``{prefix}.summary.txt``; the default
-    prefix is ``{task}-{arch}-{num_disks}``.
-    """
-    from ..telemetry import Telemetry, write_artifacts
-
-    telemetry = Telemetry(sample_interval=sample_interval)
-    result = run_task(config, task, scale, telemetry=telemetry)
-    if prefix is None:
-        prefix = f"{task}-{config.arch}-{config.num_disks}"
-    write_artifacts(telemetry, directory, prefix=prefix)
-    return result
 
 
 @dataclass

@@ -10,7 +10,7 @@ CPU were 400 MHz?", "what about 512 KB requests?") are one call away.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ..arch.config import ArchConfig
 from .report import render_table

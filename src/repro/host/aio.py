@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from ..disk import DiskDrive
 from ..faults.errors import FaultError, RequestAborted
 from ..faults.policies import RetryPolicy, TimeoutPolicy
 from ..sim import Event, Server, Simulator

@@ -13,7 +13,7 @@ free.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from ..sim import BusyTracker, Event, Server, Simulator
 

@@ -13,7 +13,7 @@ front-end pays 300/450 of the measured times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["OSParams", "LINUX_PII_300", "scaled_os_params"]
 

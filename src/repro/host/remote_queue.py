@@ -11,7 +11,7 @@ giving the SMP the same bounded-buffer backpressure the Active Disk
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from ..faults.errors import QueueTimeout
 from ..faults.policies import RetryPolicy

@@ -13,7 +13,6 @@ drives into separate read and write groups for sort and join on the SMP
 
 from __future__ import annotations
 
-from math import ceil
 from typing import List, Sequence
 
 from ..disk import DiskDrive

@@ -13,10 +13,10 @@ and routes each transfer to the least-loaded member loop.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
 from ..faults.policies import RetryPolicy
-from ..sim import Counter, Event, Server, Simulator, Tally
+from ..sim import Counter, Event, Server, Simulator
 
 __all__ = ["SerialBus", "BusGroup", "dual_fc_al"]
 
@@ -59,7 +59,6 @@ class SerialBus:
         self.name = name
         self.server = Server(sim, capacity=capacity, name=name)
         self.bytes_moved = Counter(f"{name}.bytes")
-        self.transfer_times = Tally(f"{name}.latency")
         self.faults = None
         if sim.faults.enabled:
             self.faults = sim.faults.register(f"bus.{name}")
@@ -107,7 +106,6 @@ class SerialBus:
         self.bytes_moved.add(nbytes)
         if audit is not None:
             audit.end(nbytes)
-        self.transfer_times.observe(self.sim.now - began)
 
     def _transient_retries(self, fp, nbytes: int):
         """Re-arbitrate and re-send while transient errors hit the wire."""

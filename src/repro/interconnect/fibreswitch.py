@@ -19,9 +19,9 @@ still sees a plain FC loop.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Sequence
+from typing import Any, Generator, List
 
-from ..sim import Counter, Event, Simulator, Tally
+from ..sim import Counter, Event, Simulator
 from .bus import FC_STARTUP_LATENCY, SerialBus
 
 __all__ = ["FibreSwitch"]
@@ -64,7 +64,6 @@ class FibreSwitch:
             for i in range(segments)
         ]
         self.crossings = Counter(f"{name}.crossings")
-        self.transfer_times = Tally(f"{name}.latency")
         # Loops self-register as `bus.<name>.loop<i>`; this port covers
         # the crossbar itself (a loop_outage here stalls crossings only).
         self.faults = None
@@ -107,7 +106,6 @@ class FibreSwitch:
             if self.switch_latency > 0:
                 yield self.sim.pause(self.switch_latency)
             yield from dst_loop.transfer(nbytes)
-        self.transfer_times.observe(self.sim.now - began)
         if tel.enabled:
             tel.spans.complete(
                 "bus", f"route {src}->{dst}", f"bus.{self.name}",

@@ -3,7 +3,7 @@
 The kernel has two run loops: the fast one (``Simulator._run_fast``),
 which recycles pooled events and hoists every per-event hook out, and
 the instrumented one, which steps each event through
-``Simulator.step`` (trace callback, armed auditor hook, no recycling).
+``Simulator.step`` (armed auditor hook, no recycling).
 They must simulate identically. This module checks that by brute
 force: generate seeded random small simulation cells (workload x
 architecture x fault plan x memory size), run each cell once through

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..faults.policies import RetryPolicy
-from ..sim import Counter, Event, Simulator, Tally
-from .topology import EthernetParams, FatTree
+from ..sim import Counter, Event
+from .topology import FatTree
 
 __all__ = ["Network"]
 
@@ -50,7 +50,6 @@ class Network:
         self.mtu = mtu
         self.messages = Counter("net.messages")
         self.bytes = Counter("net.bytes")
-        self.latencies = Tally("net.latency")
         self.in_flight = 0
         tel = self.sim.telemetry
         if tel.enabled:
@@ -148,10 +147,9 @@ class Network:
             self.in_flight -= 1
         self.messages.add()
         self.bytes.add(nbytes)
-        latency = self.sim.now - began
-        self.latencies.observe(latency)
         tel = self.sim.telemetry
         if tel.enabled and src != dst and nbytes > 0:
+            latency = self.sim.now - began
             tel.spans.complete(
                 "net", f"msg {src}->{dst}", f"net.host{src}.tx",
                 began, latency, args={"nbytes": nbytes})

@@ -14,8 +14,8 @@ get a pair of GbE uplinks per direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..interconnect import BusGroup, SerialBus
 from ..sim import Simulator

@@ -12,14 +12,11 @@ from .core import (
     Timeout,
 )
 from .resources import Mutex, ProcessPool, Server, Store
-from .stats import BusyTracker, Counter, StatSet, Tally, TimeWeighted
-from .sampling import Sampler, sparkline
-from .trace import TraceEntry, TraceLog
+from .stats import BusyTracker, Counter
 
 __all__ = [
     "Simulator", "Event", "Timeout", "Process", "AllOf", "AnyOf",
     "Interrupt", "SimulationError", "SimStalled",
     "Server", "Mutex", "Store", "ProcessPool",
-    "Counter", "Tally", "TimeWeighted", "BusyTracker", "StatSet",
-    "TraceLog", "TraceEntry", "Sampler", "sparkline",
+    "Counter", "BusyTracker",
 ]

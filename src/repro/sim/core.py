@@ -409,12 +409,8 @@ class Simulator:
 
     Parameters
     ----------
-    trace:
-        Optional callable ``trace(time, event)`` invoked for every event
-        processed — useful for debugging simulations.
     debug:
-        Run every event through :meth:`step` (the instrumented loop)
-        even with no trace installed.
+        Run every event through :meth:`step` (the instrumented loop).
 
     Attributes
     ----------
@@ -430,8 +426,7 @@ class Simulator:
         components) to arm a fault plan.
     """
 
-    def __init__(self, trace: Optional[Callable[[float, Event], None]] = None,
-                 debug: bool = False):
+    def __init__(self, debug: bool = False):
         from ..faults import NULL_FAULTS
         from ..invariants import NULL_INVARIANTS
         from ..telemetry import NULL_TELEMETRY
@@ -449,8 +444,7 @@ class Simulator:
         self._push = partial(heappush, self._queue)
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
-        self._trace = trace
-        self._debug = debug
+        self.debug = debug
         self.event_count = 0
         self.telemetry = NULL_TELEMETRY
         self.faults = NULL_FAULTS
@@ -462,11 +456,6 @@ class Simulator:
         self._relay_pool: List[Event] = []
         self._timeout_pool: List[Timeout] = []
 
-    @property
-    def debug(self) -> bool:
-        """True when :meth:`run` uses the instrumented per-event loop."""
-        return self._debug or self._trace is not None
-
     # -- lifecycle hooks ---------------------------------------------------
     def add_hook(self, hook: Any) -> None:
         """Register a lifecycle hook (idempotent).
@@ -475,8 +464,8 @@ class Simulator:
         ``run_finished(sim)`` methods. ``run_started`` fires at each
         entry to :meth:`run`, ``run_finished`` when that call returns
         (including on error) — both in registration order. The
-        telemetry subsystem uses this to start its periodic sampler and
-        to finalize spans.
+        telemetry subsystem uses this to take its final sample and to
+        finalize spans.
         """
         if hook not in self._hooks:
             self._hooks.append(hook)
@@ -587,11 +576,11 @@ class Simulator:
         """Process exactly one event (the instrumented, debuggable path).
 
         This is the slow-path twin of the inlined loop in
-        :meth:`_run_fast`. It feeds the trace callback, calls the armed
-        invariant auditor's per-event hook and leaves processed events
-        un-recycled so they stay inspectable. :meth:`run` loops over it
-        whenever a trace is installed, ``debug=True`` or an auditor is
-        armed; manual single-stepping always goes through here.
+        :meth:`_run_fast`. It calls the armed invariant auditor's
+        per-event hook and leaves processed events un-recycled so they
+        stay inspectable. :meth:`run` loops over it whenever
+        ``debug=True`` or an auditor is armed; manual single-stepping
+        always goes through here.
         """
         queue = self._queue
         if not queue:
@@ -607,21 +596,26 @@ class Simulator:
             raise SimulationError("event scheduled in the past")
         self._now = when
         self.event_count += 1
-        if self._trace is not None:
-            self._trace(when, event)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
             raise event.value
 
+    def _run_checked(self, until: float) -> None:
+        """The instrumented loop: :meth:`step` per event up to ``until``."""
+        queue = self._queue
+        step = self.step
+        while queue and queue[0][0] <= until:
+            step()
+
     def _run_fast(self, until: float) -> None:
         """The hot loop: pop / advance clock / fire callbacks.
 
         The past-time assertion matches :meth:`step` (same exception
         class and message for the same defect in either loop); the
-        trace and auditor hooks live only in :meth:`step`, selected once
-        per :meth:`run` call instead of being re-tested per event.
+        auditor hook lives only in :meth:`step`, selected once per
+        :meth:`run` call instead of being re-tested per event.
         Pooled relay/pause events are recycled here the moment their
         callbacks have run.
         """
@@ -664,10 +658,16 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock reaches ``until``.
 
-        With a trace installed, ``debug=True`` or an armed
+        With ``debug=True`` or an armed
         :class:`~repro.invariants.InvariantAuditor` installed, every
         event goes through :meth:`step`; otherwise the inlined fast
         loop processes events with the per-event hooks hoisted out.
+
+        A :class:`~repro.telemetry.Telemetry` hub with probes is sampled
+        between slices of that loop, each slice running up to the next
+        sample time. Sampling schedules no event, and the clock moves to
+        a sample time only while events remain after it, so installing
+        a hub changes neither the run's end time nor its event count.
 
         Raises
         ------
@@ -684,13 +684,20 @@ class Simulator:
         limit = _INF if until is None else until
         self._notify("run_started")
         try:
-            if self.debug or self.invariants.enabled:
+            loop = (self._run_checked if self.debug or self.invariants.enabled
+                    else self._run_fast)
+            interval = self.telemetry.sample_period()
+            if interval is not None:
                 queue = self._queue
-                step = self.step
-                while queue and queue[0][0] <= limit:
-                    step()
-            else:
-                self._run_fast(limit)
+                at = self._now
+                while at <= limit:
+                    loop(at)
+                    if not queue:
+                        break
+                    self._now = at
+                    self.telemetry.sample()
+                    at += interval
+            loop(limit)
             if until is None:
                 if self._alive:
                     raise SimStalled(sorted(p.name for p in self._alive))

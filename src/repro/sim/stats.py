@@ -1,18 +1,17 @@
-"""Measurement helpers: counters, time-weighted averages, busy trackers.
+"""Measurement helpers the models keep for every run: counters and busy trackers.
 
-Every architecture model exposes utilization and breakdown numbers through
-these helpers; the experiment drivers aggregate them into the
-per-figure/table reports.
+Every architecture model exposes byte counts and per-resource time
+breakdowns through these helpers; :class:`~repro.arch.RunResult` and the
+invariant auditors read them. Everything else about a run (latency
+distributions, sampled series, spans) is recorded by
+:mod:`repro.telemetry` when a hub is installed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-from .core import Simulator
-
-__all__ = ["Counter", "TimeWeighted", "BusyTracker", "Tally", "StatSet"]
+__all__ = ["Counter", "BusyTracker"]
 
 
 class Counter:
@@ -27,67 +26,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class Tally:
-    """Accumulate observations; report count/mean/min/max."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class TimeWeighted:
-    """Track a piecewise-constant value and its time-weighted average."""
-
-    def __init__(self, sim: Simulator, initial: float = 0.0, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._value = initial
-        self._area = 0.0
-        self._created = sim.now
-        self._since = sim.now
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        now = self.sim.now
-        self._area += self._value * (now - self._since)
-        self._since = now
-        self._value = value
-
-    def add(self, delta: float) -> None:
-        self.set(self._value + delta)
-
-    def average(self) -> float:
-        """Time-weighted average over [t_created, now].
-
-        Averaging over the tracker's own lifetime — not ``[0, now]`` —
-        matters for components created mid-run: dividing by the full
-        clock would silently deflate their utilization by the fraction
-        of the run they did not exist for.
-        """
-        now = self.sim.now
-        elapsed = now - self._created
-        if elapsed <= 0:
-            return self._value
-        area = self._area + self._value * (now - self._since)
-        return area / elapsed
 
 
 class BusyTracker:
@@ -116,45 +54,3 @@ class BusyTracker:
         if total <= 0:
             return {k: 0.0 for k in self.buckets}
         return {k: v / total for k, v in self.buckets.items()}
-
-    def merged(self, other: "BusyTracker") -> "BusyTracker":
-        out = BusyTracker(self.name)
-        for src in (self, other):
-            for key, val in src.buckets.items():
-                out.charge(key, val)
-        return out
-
-
-@dataclass
-class StatSet:
-    """A named bundle of counters/tallies collected from one simulation run."""
-
-    counters: Dict[str, Counter] = field(default_factory=dict)
-    tallies: Dict[str, Tally] = field(default_factory=dict)
-    trackers: Dict[str, BusyTracker] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def tally(self, name: str) -> Tally:
-        if name not in self.tallies:
-            self.tallies[name] = Tally(name)
-        return self.tallies[name]
-
-    def tracker(self, name: str) -> BusyTracker:
-        if name not in self.trackers:
-            self.trackers[name] = BusyTracker(name)
-        return self.trackers[name]
-
-    def as_rows(self) -> List[Tuple[str, float]]:
-        """Flatten everything into (name, value) rows for reporting."""
-        rows: List[Tuple[str, float]] = []
-        rows.extend((c.name, c.value) for c in self.counters.values())
-        rows.extend((f"{t.name}.mean", t.mean) for t in self.tallies.values())
-        for tracker in self.trackers.values():
-            rows.extend(
-                (f"{tracker.name}.{bucket}", value)
-                for bucket, value in sorted(tracker.buckets.items()))
-        return rows

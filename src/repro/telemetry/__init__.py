@@ -8,7 +8,8 @@ The subsystem has three parts:
 * :mod:`repro.telemetry.spans` — a :class:`SpanRecorder` capturing what
   every resource was doing over time (spans, instants, counter samples);
 * :mod:`repro.telemetry.export` — Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``), flat metrics JSON, and a text summary.
+  ``chrome://tracing``), flat metrics JSON, a text summary and
+  sparklines.
 
 :class:`Telemetry` bundles them; :data:`NULL_TELEMETRY` is the no-op
 default every probe site sees until a hub is installed, so instrumented
@@ -29,6 +30,7 @@ from .spans import CounterSample, InstantEvent, OpenSpan, Span, SpanRecorder
 from .export import (
     chrome_trace,
     metrics_json,
+    sparkline,
     utilization_summary,
     write_artifacts,
     write_chrome_trace,
@@ -40,6 +42,6 @@ __all__ = [
     "MetricRegistry", "Metric", "CounterMetric", "GaugeMetric",
     "HistogramMetric", "SeriesMetric", "BoundMetric",
     "SpanRecorder", "Span", "InstantEvent", "CounterSample", "OpenSpan",
-    "chrome_trace", "metrics_json", "utilization_summary",
+    "chrome_trace", "metrics_json", "utilization_summary", "sparkline",
     "write_chrome_trace", "write_metrics_json", "write_artifacts",
 ]

@@ -11,21 +11,25 @@ The Chrome trace output follows the Trace Event Format (the
   stacked area charts (queue depth over time, utilization over time).
 
 The metrics JSON is the registry snapshot plus span-derived busy totals;
-the text summary is a human-readable utilization table for terminals.
+the text summary is a human-readable utilization table for terminals,
+and :func:`sparkline` draws a sampled series as one line of text.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["chrome_trace", "metrics_json", "utilization_summary",
-           "write_chrome_trace", "write_metrics_json", "write_artifacts"]
+           "sparkline", "write_chrome_trace", "write_metrics_json",
+           "write_artifacts"]
 
 #: Synthetic process ids grouping tracks by top-level component, so
 #: Perfetto clusters disk rows together, bus rows together, etc.
-_PID_ORDER = ("phase", "host", "disk", "bus", "net", "diskos", "kernel")
+_PID_ORDER = ("phase", "host", "disk", "bus", "net", "diskos")
+
+_BARS = " .:-=+*#%@"
 
 
 def _pid_for(cat: str) -> int:
@@ -170,6 +174,27 @@ def utilization_summary(telemetry, top: int = 30) -> str:
                 f"p50 {entry['p50']:.6f} p95 {entry['p95']:.6f} "
                 f"p99 {entry['p99']:.6f} max {entry['max']:.6f}")
     return "\n".join(lines)
+
+
+def sparkline(values: List[float], width: int = 60) -> str:
+    """Render values as a fixed-width ASCII intensity strip."""
+    if not values:
+        return ""
+    # Resample to width buckets (mean per bucket).
+    buckets: List[float] = []
+    for i in range(min(width, len(values))):
+        lo = i * len(values) // min(width, len(values))
+        hi = max(lo + 1, (i + 1) * len(values) // min(width, len(values)))
+        chunk = values[lo:hi]
+        buckets.append(sum(chunk) / len(chunk))
+    peak = max(buckets)
+    if peak <= 0:
+        return " " * len(buckets)
+    out = []
+    for value in buckets:
+        level = int(round((len(_BARS) - 1) * value / peak))
+        out.append(_BARS[max(0, min(len(_BARS) - 1, level))])
+    return "".join(out)
 
 
 def write_chrome_trace(telemetry, path: str) -> str:

@@ -1,10 +1,9 @@
 """The telemetry hub: one object that owns all observability state.
 
 A :class:`Telemetry` bundles a :class:`~repro.telemetry.metrics.MetricRegistry`
-and a :class:`~repro.telemetry.spans.SpanRecorder`, plus a periodic
-sampler that polls registered probes (queue depths, utilizations) at a
-fixed simulated interval. Install it on a simulator **before** building
-the machine::
+and a :class:`~repro.telemetry.spans.SpanRecorder`, plus registered probes
+(queue depths, utilizations) sampled at a fixed simulated interval.
+Install it on a simulator **before** building the machine::
 
     sim = Simulator()
     tel = Telemetry().install(sim)
@@ -18,9 +17,11 @@ singleton whose ``enabled`` flag is False, so an uninstrumented run costs
 one attribute load and a branch per probe site — nothing is allocated,
 recorded or sampled.
 
-Lifecycle: installation registers a hook on the simulator so that the
-sampling process starts when ``run()`` does and a final sample plus an
-open-span flush happen when the run ends.
+Lifecycle: :meth:`~repro.sim.Simulator.run` samples the probes between
+slices of its event loop (see :meth:`Telemetry.sample_period`), so an
+observed run has the same events and end time as an unobserved one.
+Installation also registers a hook on the simulator so that a final
+sample and an open-span flush happen when the run ends.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class Telemetry:
     Parameters
     ----------
     sample_interval:
-        Simulated seconds between probe samples (``None`` disables the
-        periodic sampler; explicit span/metric probes still record).
+        Simulated seconds between probe samples (``None`` disables
+        periodic sampling; explicit span/metric probes still record).
     max_events:
         Span-recorder event budget; see
         :class:`~repro.telemetry.spans.SpanRecorder`.
@@ -58,7 +59,6 @@ class Telemetry:
         self.registry = MetricRegistry(clock=self.now)
         self.spans = SpanRecorder(clock=self.now, max_events=max_events)
         self._probes: Dict[str, Callable[[], float]] = {}
-        self._sampler_running = False
         self.run_ended_at: Optional[float] = None
         self.meta: Dict[str, Any] = {}
 
@@ -79,16 +79,10 @@ class Telemetry:
         return self
 
     # Simulator lifecycle hook protocol --------------------------------
-    def run_started(self, sim) -> None:
-        if (self.sample_interval is not None and self._probes
-                and not self._sampler_running):
-            self._sampler_running = True
-            sim.process(self._sample_loop(sim), name="telemetry-sampler")
-
     def run_finished(self, sim) -> None:
         self.run_ended_at = sim.now
         if self._probes:
-            self._sample_once()
+            self.sample()
         self.spans.flush_open(sim.now)
 
     # -- probes -----------------------------------------------------------
@@ -105,7 +99,13 @@ class Telemetry:
     def probe_names(self) -> List[str]:
         return sorted(self._probes)
 
-    def _sample_once(self) -> None:
+    def sample_period(self) -> Optional[float]:
+        """Seconds between the samples :meth:`~repro.sim.Simulator.run`
+        takes, or ``None`` when there is nothing to sample."""
+        return self.sample_interval if self._probes else None
+
+    def sample(self) -> None:
+        """Record every probe's value at the current simulated time."""
         ts = self.now()
         for name, fn in self._probes.items():
             try:
@@ -114,16 +114,6 @@ class Telemetry:
                 value = 0.0
             self.registry.series(name).set(value)
             self.spans.counter(name, {"value": value}, ts=ts)
-
-    def _sample_loop(self, sim):
-        while True:
-            self._sample_once()
-            # Re-arm only while other work is pending, so the sampler
-            # never keeps an otherwise-finished simulation alive.
-            if sim.peek() == float("inf"):
-                self._sampler_running = False
-                return
-            yield sim.timeout(self.sample_interval)
 
     # -- convenience ------------------------------------------------------
     def utilization(self, track: str, until: Optional[float] = None) -> float:
@@ -160,9 +150,6 @@ class NullTelemetry:
         sim.telemetry = self
         return self
 
-    def run_started(self, sim) -> None:
-        pass
-
     def run_finished(self, sim) -> None:
         pass
 
@@ -171,6 +158,12 @@ class NullTelemetry:
 
     def probe_names(self) -> List[str]:
         return []
+
+    def sample_period(self) -> None:
+        return None
+
+    def sample(self) -> None:
+        pass
 
     def utilization(self, track: str, until: Optional[float] = None) -> float:
         return 0.0

@@ -1,12 +1,10 @@
 """The metric registry: hierarchically named counters, gauges, histograms
 and time-weighted series.
 
-This generalizes the loose helpers in :mod:`repro.sim.stats` (``Counter``,
-``Tally``, ``TimeWeighted``, ``BusyTracker``) into one addressable
-namespace: every metric lives under a dotted hierarchical name like
-``disk.3.arm.busy`` or ``bus.fc.loop0.queue``, so exporters and analyses
-can select whole subtrees (``disk.*``) without knowing which component
-created what.
+Every metric lives in one addressable namespace, under a dotted
+hierarchical name like ``disk.3.arm.busy`` or ``bus.fc.loop0.queue``, so
+exporters and analyses can select whole subtrees (``disk.*``) without
+knowing which component created what.
 
 Metric kinds
 ------------
@@ -343,7 +341,7 @@ class MetricRegistry:
         return out
 
     def as_rows(self) -> List[Tuple[str, float]]:
-        """(dotted-name, value) rows — the StatSet-compatible flat view."""
+        """(dotted-name, value) rows: the registry as one flat table."""
         rows: List[Tuple[str, float]] = []
         for name, entry in self.snapshot().items():
             for fieldname, value in entry.items():

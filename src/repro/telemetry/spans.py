@@ -17,7 +17,7 @@ spans are flushed at export time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "InstantEvent", "CounterSample", "OpenSpan",

@@ -28,8 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence
 
-from ..arch.program import Phase, TaskProgram
-from ..host.cpu import REFERENCE_MHZ
+from ..arch.program import TaskProgram
 
 __all__ = ["TraceRecord", "worker_trace", "stream_worker_trace",
            "trace_totals", "fold_totals", "interleave_records",

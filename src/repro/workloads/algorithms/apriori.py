@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["frequent_itemsets", "association_rules", "support_counts"]
 

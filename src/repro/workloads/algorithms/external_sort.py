@@ -10,7 +10,7 @@ uses, so tests can cross-check both.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["GroupBy", "PipeHashPlan", "PassPlan", "plan_pipehash",
            "child_table_sizes", "SHRINK_RATIO", "SPILL_FACTOR"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..arch.config import ArchConfig
 from ..arch.program import CostComponent, Phase, TaskProgram

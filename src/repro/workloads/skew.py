@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
-from ..arch.program import Phase, TaskProgram
+from ..arch.program import TaskProgram
 
 __all__ = ["zipf_weights", "skewed_variant", "imbalance_factor"]
 

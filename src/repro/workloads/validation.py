@@ -13,12 +13,11 @@ fractions the simulator charges, closing the loop between
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from .algorithms import (
-    external_sort,
     form_runs,
     grace_hash_join,
     groupby_sum,

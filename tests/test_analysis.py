@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.analysis import AnalyticEstimate, analyze, analyze_program
+from repro.analysis import analyze, analyze_program
 from repro.arch import (
-    ActiveDiskConfig,
-    ClusterConfig,
-    CostComponent,
     Phase,
-    SMPConfig,
     TaskProgram,
 )
 from repro.experiments import config_for, run_task

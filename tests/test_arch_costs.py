@@ -27,7 +27,7 @@ class TestTable1:
 
     def test_active_half_of_cluster_at_all_dates(self):
         """"consistently about half that of commodity cluster"."""
-        for date, active, cluster, ratio in cost_table(64):
+        for _date, _active, _cluster, ratio in cost_table(64):
             assert 0.35 < ratio < 0.55
 
     def test_smp_estimate(self):

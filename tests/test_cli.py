@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main, parse_scale
@@ -43,6 +47,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["sweep", "fig1", "--tasks", "select,vacuum"])
+
+    def test_help_prints_on_an_ascii_stdout(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        paths = [src] + ([os.environ["PYTHONPATH"]]
+                         if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                   PYTHONIOENCODING="ascii")
+        done = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: repro" in done.stdout
 
 
 class TestCommands:

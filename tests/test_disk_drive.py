@@ -4,6 +4,7 @@ import pytest
 
 from repro.disk import DiskDrive, HITACHI_DK3E1T91, SEAGATE_ST39102, fast_variant
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 KB = 1024
 MB = 1_000_000
@@ -55,6 +56,7 @@ class TestSequentialAccess:
 class TestRandomAccess:
     def test_random_8k_latency_band(self):
         sim = Simulator()
+        tel = Telemetry(sample_interval=None).install(sim)
         drive = DiskDrive(sim, SEAGATE_ST39102)
         lbns = [(i * 2_654_435) % (drive.geometry.total_sectors - 100)
                 for i in range(100)]
@@ -63,7 +65,7 @@ class TestRandomAccess:
                 yield drive.read(lbn, 8 * KB)
         sim.process(driver())
         sim.run()
-        mean = drive.response_times.mean
+        mean = tel.registry.get(f"disk.{drive.name}.response").mean
         # overhead + ~avg seek + ~half rotation + transfer: 6-13 ms.
         assert 5e-3 < mean < 14e-3
 
@@ -108,7 +110,7 @@ class TestInterleavedStreams:
         stride = drive.geometry.total_sectors // (streams + 1)
         cursors = [s * stride for s in range(streams)]
         def driver():
-            for round_ in range(5):
+            for _ in range(5):
                 for s in range(streams):
                     yield drive.read(cursors[s], 256 * KB)
                     cursors[s] += 512
@@ -168,8 +170,9 @@ class TestRequestHandling:
 
     def test_queued_requests_all_complete(self):
         sim = Simulator()
+        tel = Telemetry(sample_interval=None).install(sim)
         drive = DiskDrive(sim, SEAGATE_ST39102)
         events = [drive.read(i * 1024, 8 * KB) for i in range(20)]
         sim.run()
         assert all(e.triggered for e in events)
-        assert drive.response_times.count == 20
+        assert tel.registry.get(f"disk.{drive.name}.response").count == 20

@@ -8,7 +8,6 @@ from repro.disk import (
     HITACHI_DK3E1T91,
     SEAGATE_ST39102,
     DiskGeometry,
-    DriveSpec,
 )
 
 GEOMETRY = DiskGeometry(SEAGATE_ST39102)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import ActiveDiskConfig, build_machine
+from repro.arch import ActiveDiskConfig
 from repro.experiments import run_task
 from repro.interconnect import FibreSwitch
 from repro.sim import Simulator

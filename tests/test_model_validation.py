@@ -18,8 +18,9 @@ from repro.disk.validation import (
     expected_sequential_rate,
     validation_points,
 )
-from repro.net import EthernetParams, FatTree, Network
+from repro.net import FatTree, Network
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 KB = 1024
 
@@ -41,6 +42,7 @@ def measured_sequential_rate(spec, requests=100, size=256 * KB):
 def measured_random_read_time(spec, size, requests=200):
     import random
     sim = Simulator()
+    tel = Telemetry(sample_interval=None).install(sim)
     drive = DiskDrive(sim, spec)
     span = drive.geometry.total_sectors - 2 * size // 512
     rng = random.Random(1234)
@@ -50,7 +52,7 @@ def measured_random_read_time(spec, size, requests=200):
             yield drive.read(lbn, size)
     sim.process(driver())
     sim.run()
-    return drive.response_times.mean
+    return tel.registry.get(f"disk.{drive.name}.response").mean
 
 
 @pytest.mark.parametrize("spec", [SEAGATE_ST39102, HITACHI_DK3E1T91],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import ANY_TAG, EthernetParams, FatTree, Messaging, Network
+from repro.net import ANY_TAG, FatTree, Messaging, Network
 from repro.sim import Simulator
 
 KB = 1024

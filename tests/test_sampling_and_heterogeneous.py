@@ -1,69 +1,12 @@
-"""Tests for the time-series sampler and heterogeneous-farm configs."""
+"""Tests for sparkline rendering and heterogeneous-farm configs."""
 
 import pytest
 
 from repro.arch import ActiveDiskConfig, build_machine
 from repro.disk import HITACHI_DK3E1T91, SEAGATE_ST39102, fast_variant
-from repro.sim import Sampler, Simulator, sparkline
+from repro.sim import Simulator
+from repro.telemetry import sparkline
 from repro.workloads import build_program
-
-
-class TestSampler:
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Sampler(sim, interval=0, probes={"x": lambda: 0.0})
-        with pytest.raises(ValueError):
-            Sampler(sim, interval=1.0, probes={})
-
-    def test_samples_at_fixed_interval(self):
-        sim = Simulator()
-        sampler = Sampler(sim, interval=1.0,
-                          probes={"clock": lambda: sim.now})
-        def work():
-            yield sim.timeout(5.0)
-        sim.process(work())
-        sim.run()
-        times = [t for t, _ in sampler.series("clock")]
-        # One trailing tick may land after the last event (the sampler
-        # only notices the queue drained on its next wake-up).
-        assert times[:6] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        assert len(times) <= 7
-
-    def test_sampler_does_not_keep_simulation_alive(self):
-        sim = Simulator()
-        Sampler(sim, interval=0.1, probes={"x": lambda: 1.0})
-        def work():
-            yield sim.timeout(0.35)
-        sim.process(work())
-        sim.run()
-        assert sim.now < 0.6
-
-    def test_probe_values_recorded(self):
-        sim = Simulator()
-        state = {"v": 0.0}
-        sampler = Sampler(sim, interval=1.0,
-                          probes={"v": lambda: state["v"]})
-        def work():
-            yield sim.timeout(1.5)
-            state["v"] = 7.0
-            yield sim.timeout(1.5)
-        sim.process(work())
-        sim.run()
-        values = [v for _, v in sampler.series("v")]
-        assert values[0] == 0.0 and values[-1] == 7.0
-
-    def test_render_produces_one_line_per_probe(self):
-        sim = Simulator()
-        sampler = Sampler(sim, interval=0.5, probes={
-            "a": lambda: 1.0, "b": lambda: 2.0})
-        def work():
-            yield sim.timeout(2.0)
-        sim.process(work())
-        sim.run()
-        lines = sampler.render().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("a")
 
 
 class TestSparkline:

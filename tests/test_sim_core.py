@@ -3,9 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
     Interrupt,
     SimulationError,
     Simulator,

@@ -16,7 +16,6 @@ behaviours that optimization must not change:
 import pytest
 
 from repro.sim import (
-    Event,
     Interrupt,
     Server,
     SimulationError,
@@ -404,7 +403,7 @@ class TestPauseRecycling:
         seen = []
 
         def proc():
-            for index in range(3):
+            for _ in range(3):
                 event = sim.pause(1.0)
                 value = yield event
                 seen.append((value, event.value, event.ok))
@@ -454,21 +453,6 @@ class TestFastCheckedEquivalence:
         fast = self._workload(Simulator())
         checked = self._workload(Simulator(debug=True))
         assert fast == checked
-
-    def test_trace_selects_checked_loop(self):
-        events = []
-        sim = Simulator(trace=lambda when, event: events.append(when))
-        assert sim.debug
-
-        def proc():
-            yield sim.timeout(1.0)
-            yield sim.pause(1.0)
-
-        sim.process(proc())
-        sim.run()
-        # bootstrap relay + two timeouts + process completion traced
-        assert len(events) == sim.event_count == 4
-        assert sim.now == 2.0
 
     def test_empty_pool_after_checked_run(self):
         # The checked loop never recycles, so pooled events processed by

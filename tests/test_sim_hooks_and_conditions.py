@@ -1,13 +1,12 @@
 """Sim-core edge cases the telemetry hooks rely on.
 
 Covers: Simulator lifecycle-hook invocation order, AnyOf/AllOf
-completion ordering, process termination mid-span, and the TraceLog
-ring-buffer wraparound + telemetry delegation satellite work.
+completion ordering and process termination mid-span.
 """
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator, TraceLog
+from repro.sim import AllOf, AnyOf, Interrupt, Simulator
 from repro.telemetry import Telemetry
 
 
@@ -231,51 +230,3 @@ class TestProcessTerminationMidSpan:
         spans = [s for s in tel.spans.spans if s.name == "step"]
         assert len(spans) == 1
         assert spans[0].dur == pytest.approx(2.0)
-
-
-class TestTraceLogSatellite:
-    def _run(self, capacity, telemetry=None, ticks=20):
-        log = TraceLog(capacity=capacity, telemetry=telemetry)
-        sim = Simulator(trace=log)
-
-        def worker(count):
-            for _ in range(count):
-                yield sim.timeout(1.0)
-
-        sim.process(worker(ticks), name="ticker")
-        sim.run()
-        return log, sim
-
-    def test_window_after_wraparound_drops_oldest(self):
-        # 20 timeouts + bootstrap/process events >> capacity 6: the ring
-        # wraps and only the newest entries stay queryable.
-        log, sim = self._run(capacity=6)
-        assert log.total > log.capacity
-        assert len(log.entries) == 6
-        oldest_kept = min(e.time for e in log.entries)
-        assert oldest_kept > 0.0            # early entries evicted
-        # A window over evicted history is empty, not an error.
-        assert log.window(0.0, oldest_kept) == []
-        # A window over the retained suffix returns exactly the ring.
-        assert log.window(oldest_kept, sim.now + 1.0) == list(log.entries)
-
-    def test_window_open_end(self):
-        log, sim = self._run(capacity=100)
-        assert log.window(18.0) == log.window(18.0, float("inf"))
-        assert log.window(18.0)
-
-    def test_delegates_named_completions_to_telemetry(self):
-        sim_probe = Simulator()  # clock donor for the standalone hub
-        tel = Telemetry(sample_interval=None).install(sim_probe)
-        log, _ = self._run(capacity=100, telemetry=tel)
-        kernel = [i for i in tel.spans.instants if i.cat == "kernel"]
-        assert any(i.name == "ticker" for i in kernel)
-        # Timestamps carried through from the trace entries themselves.
-        ticker = [i for i in kernel if i.name == "ticker"]
-        assert ticker[-1].ts == pytest.approx(20.0)
-
-    def test_no_delegation_to_disabled_hub(self):
-        from repro.telemetry import NULL_TELEMETRY
-        log, _ = self._run(capacity=100, telemetry=NULL_TELEMETRY)
-        assert log.total > 0
-        assert len(NULL_TELEMETRY.spans) == 0

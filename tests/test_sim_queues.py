@@ -72,8 +72,8 @@ class TestKernelParity:
 
     def test_batch_aware_peek(self, queue):
         # A callback running while other same-tick events are pending
-        # must still see peek() == now (the Sampler loop depends on
-        # this).
+        # must still see peek() == now, so a process that paces itself
+        # by peek() neither misses nor overshoots the rest of the tick.
         sim = Simulator()
         peeks = []
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import BusyTracker, Counter, Simulator, StatSet, Tally, TimeWeighted
+from repro.sim import BusyTracker, Counter
 
 
 class TestCounter:
@@ -11,83 +11,6 @@ class TestCounter:
         counter.add()
         counter.add(2.5)
         assert counter.value == 3.5
-
-
-class TestTally:
-    def test_empty_mean_is_zero(self):
-        assert Tally().mean == 0.0
-
-    def test_statistics(self):
-        tally = Tally()
-        for v in (1.0, 2.0, 6.0):
-            tally.observe(v)
-        assert tally.count == 3
-        assert tally.mean == pytest.approx(3.0)
-        assert tally.min == 1.0 and tally.max == 6.0
-
-
-class TestTimeWeighted:
-    def test_average_over_piecewise_constant(self):
-        sim = Simulator()
-        tracker = TimeWeighted(sim, initial=0.0)
-        def proc():
-            yield sim.timeout(2.0)
-            tracker.set(10.0)
-            yield sim.timeout(2.0)
-            tracker.set(0.0)
-            yield sim.timeout(6.0)
-        sim.process(proc())
-        sim.run()
-        # 0 for 2s, 10 for 2s, 0 for 6s -> 20/10
-        assert tracker.average() == pytest.approx(2.0)
-
-    def test_add_delta(self):
-        sim = Simulator()
-        tracker = TimeWeighted(sim, initial=1.0)
-        tracker.add(2.0)
-        assert tracker.value == 3.0
-
-    def test_average_at_time_zero(self):
-        sim = Simulator()
-        tracker = TimeWeighted(sim, initial=5.0)
-        assert tracker.average() == 5.0
-
-    def test_average_for_tracker_created_mid_run(self):
-        # Regression: average() used to divide by `now` measured from
-        # t=0 even for trackers created at t>0, deflating utilization
-        # for components that start mid-run.
-        sim = Simulator()
-        trackers = {}
-
-        def proc():
-            yield sim.timeout(10.0)
-            trackers["late"] = TimeWeighted(sim, initial=4.0)
-            yield sim.timeout(5.0)
-
-        sim.process(proc())
-        sim.run()
-        # Constant 4.0 over its whole 5-second lifetime: the average
-        # must be 4.0, not 4.0 * 5/15.
-        assert trackers["late"].average() == pytest.approx(4.0)
-
-    def test_average_mid_run_piecewise(self):
-        sim = Simulator()
-        trackers = {}
-
-        def proc():
-            yield sim.timeout(8.0)
-            tracker = TimeWeighted(sim, initial=0.0)
-            trackers["t"] = tracker
-            yield sim.timeout(1.0)
-            tracker.set(6.0)
-            yield sim.timeout(2.0)
-            tracker.set(0.0)
-            yield sim.timeout(1.0)
-
-        sim.process(proc())
-        sim.run()
-        # Lifetime [8, 12]: 0 for 1s, 6 for 2s, 0 for 1s -> 12/4.
-        assert trackers["t"].average() == pytest.approx(3.0)
 
 
 class TestBusyTracker:
@@ -113,28 +36,3 @@ class TestBusyTracker:
 
     def test_fractions_empty(self):
         assert BusyTracker().fractions() == {}
-
-    def test_merged(self):
-        a = BusyTracker("a")
-        a.charge("x", 1.0)
-        b = BusyTracker("b")
-        b.charge("x", 2.0)
-        b.charge("y", 1.0)
-        merged = a.merged(b)
-        assert merged.buckets == {"x": 3.0, "y": 1.0}
-
-
-class TestStatSet:
-    def test_lazily_creates_instruments(self):
-        stats = StatSet()
-        stats.counter("bytes").add(10)
-        stats.tally("latency").observe(0.5)
-        stats.tracker("cpu").charge("busy", 1.0)
-        rows = dict(stats.as_rows())
-        assert rows["bytes"] == 10
-        assert rows["latency.mean"] == pytest.approx(0.5)
-        assert rows["cpu.busy"] == pytest.approx(1.0)
-
-    def test_same_name_returns_same_instrument(self):
-        stats = StatSet()
-        assert stats.counter("x") is stats.counter("x")

@@ -267,12 +267,10 @@ class TestTelemetryHub:
         series = tel.registry.get("disk.queue.depth")
         assert series.peak == 3.0
         assert 0.0 < series.average() < 3.0
-        # Periodic samples at 0,1,2,... plus the final sample; the
-        # sampler may trail the last real event by at most one interval.
+        # Periodic samples at 0,1,...,4, then the final sample at the
+        # last event: no sample lands after the run.
         sample_ts = [c.ts for c in tel.spans.counters]
-        assert sample_ts[0] == 0.0
-        assert 5.0 <= sample_ts[-1] <= 6.0
-        assert len(sample_ts) >= 5
+        assert sample_ts == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert tel.probe_names() == ["disk.queue.depth"]
 
     def test_sampler_does_not_extend_the_run(self):
@@ -284,10 +282,9 @@ class TestTelemetryHub:
 
         sim.process(proc())
         sim.run()
-        # The sampler must never keep an otherwise-finished run alive
-        # for a full extra interval.
-        assert sim.now <= 3.0 + 10.0
-        assert tel.run_ended_at is not None
+        # Sampling schedules no event: the run ends at its last event.
+        assert sim.now == 3.0
+        assert tel.run_ended_at == 3.0
 
     def test_probe_zero_division_clamped(self):
         sim, tel = self._sim_with_hub(sample_interval=None)
@@ -432,6 +429,19 @@ class TestInstrumentedRun:
         doc = chrome_trace(tel)
         json.dumps(doc)
         assert doc["traceEvents"]
+
+    @pytest.mark.parametrize("arch, task", [
+        ("active", "select"), ("cluster", "sort"), ("smp", "groupby")])
+    def test_observing_a_run_does_not_change_it(self, arch, task):
+        from repro.experiments import config_for, result_to_dict, run_task
+
+        config = config_for(arch, num_disks=8)
+        plain = run_task(config, task, scale=1 / 1024)
+        tel = Telemetry()
+        observed = run_task(config, task, scale=1 / 1024, telemetry=tel)
+        assert tel.probe_names()
+        assert result_to_dict(observed) == result_to_dict(plain)
+        assert tel.run_ended_at == observed.elapsed
 
     def test_disabled_run_records_nothing(self):
         from repro.experiments.runner import config_for, run_task

@@ -5,7 +5,6 @@ import pytest
 from repro.arch import ActiveDiskConfig
 from repro.tracegen import (
     SORT_RUN_BASE_NS,
-    TraceRecord,
     sort_cpu_ns,
     trace_totals,
     worker_trace,

@@ -87,7 +87,6 @@ class TestDistributedApriori:
 class TestDoctests:
     @pytest.mark.parametrize("module_name", [
         "repro.sim.core",
-        "repro.sim.trace",
     ])
     def test_module_doctests(self, module_name):
         import importlib
