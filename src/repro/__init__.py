@@ -9,7 +9,7 @@ The package rebuilds the paper's entire experimental apparatus:
 * :mod:`repro.interconnect` - queue-based serial interconnects (FC-AL);
 * :mod:`repro.net` - a Netsim-style switched-Ethernet fat-tree with
   MPI-like messaging;
-* :mod:`repro.host` - CPUs, OS cost models, async I/O, striping;
+* :mod:`repro.host` - CPUs, OS cost models, the SMP's remote queues;
 * :mod:`repro.diskos` - the Active Disk runtime (streams, disklets,
   memory budget);
 * :mod:`repro.arch` - the three machines (Active Disks, commodity

@@ -64,11 +64,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from .arch import ActiveDiskConfig, MB
-from .experiments import DEFAULT_SCALE, config_for, run_task
-from .service.requests import FIGURES
+from .experiments import DEFAULT_SCALE, CellSpec, build_config, run_task
+from .service.requests import FIGURES, write_figure
 from .workloads import registered_tasks
 
 __all__ = ["main", "parse_scale"]
@@ -487,17 +486,12 @@ def _command_list(_args) -> str:
 
 
 def _command_run(args) -> str:
-    config = config_for(args.arch, args.disks)
-    if isinstance(config, ActiveDiskConfig):
-        if args.memory_mb:
-            config = config.with_memory(args.memory_mb * MB)
-        if args.restricted:
-            config = config.restricted()
-        if args.fibreswitch:
-            config = config.with_fibreswitch(args.fibreswitch)
-    if args.interconnect_mb:
-        config = config.with_interconnect(args.interconnect_mb * MB)
     scale = args.scale
+    config = build_config(CellSpec(
+        task=args.task, arch=args.arch, num_disks=args.disks, scale=scale,
+        memory_mb=args.memory_mb, interconnect_mb=args.interconnect_mb,
+        restricted=args.restricted,
+        fibreswitch_segments=args.fibreswitch))
     telemetry = None
     if args.trace_out or args.metrics_out:
         from .telemetry import Telemetry
@@ -554,67 +548,58 @@ def _command_degraded(args) -> str:
     return "\n".join(lines)
 
 
-def _traffic_grid(args):
-    """Expand the traffic CLI flags into keyed sweep cells."""
-    from .experiments import ARCHITECTURES
-    from .traffic import DEFAULT_LOADS, TrafficConfig, traffic_cell
+def _traffic_kwargs(args) -> Dict:
+    """The ``run_traffic_figure`` keyword arguments the flags select.
 
-    archs = ARCHITECTURES if args.arch == "all" else (args.arch,)
-    loads = tuple(args.loads) if args.loads else DEFAULT_LOADS
-    grid = {}
-    for arch in archs:
-        for load in loads:
-            tconfig = TrafficConfig(
-                arch=arch, num_disks=args.disks, sessions=args.sessions,
-                seed=args.seed, load=load, policy=args.policy,
-                queue_capacity=args.queue_capacity, tenants=args.tenants,
-                tenant_theta=args.tenant_theta,
-                task_theta=args.task_theta,
-                tasks=tuple(args.tasks) if args.tasks else (),
-                scale=args.scale,
-                deadline_factor=args.deadline_factor)
-            grid[(arch, args.disks, load, args.policy)] = \
-                traffic_cell(tconfig)
-    return grid
+    They are JSON values, so a journal's metadata can carry them for
+    ``repro resume``.
+    """
+    from .experiments import ARCHITECTURES
+    from .traffic import DEFAULT_LOADS
+
+    return {
+        "archs": list(ARCHITECTURES) if args.arch == "all" else [args.arch],
+        "sizes": [args.disks],
+        "loads": list(args.loads or DEFAULT_LOADS),
+        "sessions": args.sessions, "seed": args.seed,
+        "policy": args.policy, "queue_capacity": args.queue_capacity,
+        "tenants": args.tenants, "tenant_theta": args.tenant_theta,
+        "task_theta": args.task_theta, "tasks": args.tasks,
+        "scale": args.scale, "deadline_factor": args.deadline_factor,
+    }
+
+
+def _run_traffic(kwargs: Dict, journal: Optional[str], out_dir: str,
+                 args) -> str:
+    """Run the traffic grid, journaled when ``journal`` is set, and write
+    ``traffic.txt``, ``traffic.csv`` and ``MANIFEST.json``."""
+    from .traffic import run_traffic_figure
+
+    runner = None
+    if journal is not None:
+        runner = _harness(args, journal,
+                          {"traffic": kwargs, "out_dir": out_dir})
+    figure = run_traffic_figure(runner=runner, **kwargs)
+    os.makedirs(out_dir, exist_ok=True)
+    lines = [write_figure("traffic", figure, out_dir)]
+    if runner is not None:
+        lines += [_harness_line(runner), f"journal: {journal}"]
+    lines.append(f"artifacts: {out_dir}/traffic.txt, "
+                 f"{out_dir}/traffic.csv "
+                 f"(checksums in {out_dir}/MANIFEST.json)")
+    return "\n".join(lines)
 
 
 def _command_traffic(args) -> int:
     """Offered-load sweep -> saturation-curve artifacts (or --smoke)."""
     if args.smoke:
         return _traffic_smoke(args)
-    from .experiments.artifacts import atomic_write_text, write_manifest
-    from .experiments.export import rows_to_csv
-    from .experiments.harness import execute_cells
-    from .traffic import TrafficFigure, traffic_rows
-
-    grid = _traffic_grid(args)
-    runner = None
     journal = args.journal
-    if journal or args.jobs > 1 or args.timeout is not None \
-            or args.memory_budget is not None:
-        if journal is None:
-            os.makedirs(args.out_dir, exist_ok=True)
-            journal = os.path.join(args.out_dir, "traffic.journal.jsonl")
-        runner = _harness(args, journal)
-    results = execute_cells(list(grid.values()), runner)
-    figure = TrafficFigure({point: results[spec.key].extras
-                            for point, spec in grid.items()})
-    text = figure.render()
-    os.makedirs(args.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(args.out_dir, "traffic.txt"),
-                      text + "\n")
-    atomic_write_text(os.path.join(args.out_dir, "traffic.csv"),
-                      rows_to_csv(traffic_rows(figure)))
-    write_manifest(args.out_dir)
-    print(text)
-    tail = []
-    if runner is not None:
-        tail.append(_harness_line(runner))
-        tail.append(f"journal: {journal}")
-    tail.append(f"artifacts: {args.out_dir}/traffic.txt, "
-                f"{args.out_dir}/traffic.csv "
-                f"(checksums in {args.out_dir}/MANIFEST.json)")
-    print("\n".join(tail))
+    if journal is None and (args.jobs > 1 or args.timeout is not None
+                            or args.memory_budget is not None):
+        os.makedirs(args.out_dir, exist_ok=True)
+        journal = os.path.join(args.out_dir, "traffic.journal.jsonl")
+    print(_run_traffic(_traffic_kwargs(args), journal, args.out_dir, args))
     return 0
 
 
@@ -764,6 +749,8 @@ def _command_resume(args) -> str:
     if "artifacts" in meta:
         return _run_build(meta["artifacts"], meta["scale"], args.journal,
                           out_dir, args)
+    if "traffic" in meta:
+        return _run_traffic(meta["traffic"], args.journal, out_dir, args)
     if meta.get("figure") in FIG_SWEEPS:
         return _run_figure_sweep(
             meta["figure"], meta.get("sizes"), meta.get("tasks"),
@@ -1147,7 +1134,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_command_list(args))
         return 0
     if args.command == "run":
-        print(_command_run(args))
+        try:
+            print(_command_run(args))
+        except ValueError as exc:   # a bad value, variant or fault plan
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         return 0
     if args.command == "degraded":
         print(_command_degraded(args))

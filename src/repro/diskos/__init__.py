@@ -10,13 +10,12 @@ from .runtime import (
     program_from_disklets,
     validate_disklet,
 )
-from .scheduler import DiskletScheduler
 from .streams import SinkKind, StreamBufferProbe, StreamSpec
 
 __all__ = [
     "Disklet", "StreamSpec", "SinkKind", "StreamBufferProbe",
     "DiskMemory", "MemoryLayout", "BASE_MEMORY", "BASE_COMM_BUFFERS",
     "DiskletStage", "validate_disklet", "phase_from_disklet",
-    "program_from_disklets", "DiskletScheduler",
+    "program_from_disklets",
     "DISKLET_RESTART_OVERHEAD", "disklet_restart_cost",
 ]

@@ -99,7 +99,12 @@ class CellSpec:
 
 
 def build_config(spec: CellSpec):
-    """Materialize the :class:`ArchConfig` a spec describes."""
+    """Materialize the :class:`ArchConfig` a spec describes.
+
+    Raises ``ValueError`` naming the field when the spec asks for a
+    variant its architecture does not have (a cluster has no per-disk
+    memory or interconnect rate to change).
+    """
     overrides = {}
     if spec.drive is not None:
         if spec.drive not in DRIVE_NAMES:
@@ -108,14 +113,24 @@ def build_config(spec: CellSpec):
         from .. import disk
         overrides["drive"] = getattr(disk, spec.drive)
     config = config_for(spec.arch, spec.num_disks, **overrides)
+
+    def variant(field_name: str, method: str):
+        build = getattr(config, method, None)
+        if build is None:
+            raise ValueError(f"the {spec.arch} architecture has no "
+                             f"{field_name} variant")
+        return build
+
     if spec.memory_mb is not None:
-        config = config.with_memory(spec.memory_mb * MB)
+        config = variant("memory_mb", "with_memory")(spec.memory_mb * MB)
     if spec.interconnect_mb is not None:
-        config = config.with_interconnect(spec.interconnect_mb * MB)
+        config = variant("interconnect_mb", "with_interconnect")(
+            spec.interconnect_mb * MB)
     if spec.fibreswitch_segments is not None:
-        config = config.with_fibreswitch(spec.fibreswitch_segments)
+        config = variant("fibreswitch_segments", "with_fibreswitch")(
+            spec.fibreswitch_segments)
     if spec.restricted:
-        config = config.restricted()
+        config = variant("restricted", "restricted")()
     return config
 
 

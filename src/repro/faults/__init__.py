@@ -21,24 +21,13 @@ bit-identical to a fault-free simulator; with a plan, identical
 ``docs/FAULTS.md`` for the taxonomy and plan-file schema.
 """
 
-from .errors import (
-    DiskletCrash,
-    DriveFailed,
-    FaultError,
-    LinkDown,
-    MediaError,
-    QueueTimeout,
-    RequestAborted,
-    TransientBusError,
-)
+from .errors import DriveFailed, FaultError
 from .injector import NULL_FAULTS, FaultInjector, FaultPort, NullFaultInjector
 from .plan import FAULT_KINDS, FaultPlan, FaultSpec
-from .policies import RetryPolicy, TimeoutPolicy
+from .policies import RetryPolicy
 
 __all__ = [
     "FaultPlan", "FaultSpec", "FAULT_KINDS",
     "FaultInjector", "FaultPort", "NullFaultInjector", "NULL_FAULTS",
-    "RetryPolicy", "TimeoutPolicy",
-    "FaultError", "MediaError", "DriveFailed", "TransientBusError",
-    "LinkDown", "DiskletCrash", "QueueTimeout", "RequestAborted",
+    "RetryPolicy", "FaultError", "DriveFailed",
 ]

@@ -1,40 +1,20 @@
-"""Exceptions raised by injected faults and their recovery machinery.
+"""Exceptions raised by injected faults.
 
 Transient faults (bus glitches, packet loss, media errors the drive can
 re-read around) are *recovered inside the owning component* and never
 surface as exceptions — they cost simulated time and bump ``faults.*``
-counters. Only permanent faults escape: :class:`DriveFailed` propagates
-to the architecture models, which degrade gracefully (survivors re-scan
-the lost partition, or the disklet is re-dispatched), and
-:class:`RequestAborted` / :class:`QueueTimeout` report a retry policy
-that ran out of attempts.
+counters. Only a permanent fault escapes: :class:`DriveFailed`
+propagates to the architecture models, which degrade gracefully
+(survivors re-scan the lost partition, or the disklet is re-dispatched).
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "FaultError",
-    "MediaError",
-    "DriveFailed",
-    "TransientBusError",
-    "LinkDown",
-    "DiskletCrash",
-    "QueueTimeout",
-    "RequestAborted",
-]
+__all__ = ["FaultError", "DriveFailed"]
 
 
 class FaultError(Exception):
     """Base class for every injected-fault exception."""
-
-
-class MediaError(FaultError):
-    """A sector could not be read even after the drive's read retries."""
-
-    def __init__(self, drive: str, lbn: int):
-        super().__init__(f"{drive}: unrecoverable media error at LBN {lbn}")
-        self.drive = drive
-        self.lbn = lbn
 
 
 class DriveFailed(FaultError):
@@ -43,27 +23,3 @@ class DriveFailed(FaultError):
     def __init__(self, drive: str):
         super().__init__(f"drive {drive} failed")
         self.drive = drive
-
-
-class TransientBusError(FaultError):
-    """A transfer hit a transient interconnect error (FCP retry fixes it)."""
-
-
-class LinkDown(FaultError):
-    """A network link is down for longer than the sender tolerates."""
-
-
-class DiskletCrash(FaultError):
-    """A disklet crashed; DiskOS re-dispatches it."""
-
-
-class QueueTimeout(FaultError):
-    """A bounded-queue acquisition exhausted its retry policy."""
-
-    def __init__(self, queue: str):
-        super().__init__(f"{queue}: slot acquisition timed out")
-        self.queue = queue
-
-
-class RequestAborted(FaultError):
-    """An async I/O request exhausted its timeout/retry policy."""

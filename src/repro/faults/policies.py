@@ -1,15 +1,16 @@
-"""Retry and timeout policies used by recovery code paths.
+"""The retry policy used by recovery code paths.
 
-Both are small frozen dataclasses so they can be shared between
-components and embedded in configs without aliasing surprises. All
-delays are in simulated seconds.
+A small frozen dataclass, so it can be shared between components and
+embedded in configs without aliasing surprises. All delays are in
+simulated seconds. The interconnect buses (``interconnect/bus.py``)
+and the switched network (``net/network.py``) retransmit by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "TimeoutPolicy"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -41,29 +42,3 @@ class RetryPolicy:
             raise ValueError(f"attempt must be >= 0, got {attempt}")
         return min(self.base_delay * self.factor ** attempt, self.max_delay)
 
-
-@dataclass(frozen=True)
-class TimeoutPolicy:
-    """Per-attempt timeout that stretches on every retry.
-
-    Attempt ``k`` is given ``timeout * factor**k`` seconds, capped at
-    ``max_timeout``, before the issuer declares the request lost.
-    """
-
-    timeout: float = 0.5
-    factor: float = 2.0
-    max_timeout: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if self.max_timeout < self.timeout:
-            raise ValueError("max_timeout must be >= timeout")
-
-    def timeout_for(self, attempt: int) -> float:
-        """Deadline for attempt number ``attempt`` (0-based)."""
-        if attempt < 0:
-            raise ValueError(f"attempt must be >= 0, got {attempt}")
-        return min(self.timeout * self.factor ** attempt, self.max_timeout)

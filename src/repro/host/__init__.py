@@ -1,13 +1,11 @@
-"""Host-side models: CPUs, OS costs, async I/O, striping."""
+"""Host-side models: CPUs, OS costs and the SMP's remote queues."""
 
-from .aio import AsyncIO
 from .cpu import REFERENCE_MHZ, Cpu
 from .os_model import LINUX_PII_300, OSParams, scaled_os_params
 from .remote_queue import RemoteQueue
-from .striping import StripedVolume
 
 __all__ = [
     "Cpu", "REFERENCE_MHZ",
     "OSParams", "LINUX_PII_300", "scaled_os_params",
-    "AsyncIO", "StripedVolume", "RemoteQueue",
+    "RemoteQueue",
 ]

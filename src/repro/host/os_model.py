@@ -49,15 +49,6 @@ class OSParams:
         """CPU cost to take the completion interrupt and wake the waiter."""
         return self.interrupt + self.context_switch
 
-    def io_retry_cost(self) -> float:
-        """CPU cost to reap a failed/timed-out request and re-issue it.
-
-        An error completion still takes the interrupt, then the driver
-        re-queues the request — there is no extra syscall because the
-        original submission is still posted.
-        """
-        return self.interrupt + self.driver_queue
-
 
 #: The paper's measured numbers (lmbench, 300 MHz Pentium II, Linux).
 LINUX_PII_300 = OSParams()

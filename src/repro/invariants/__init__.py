@@ -45,7 +45,6 @@ from .auditor import (
     InvariantAuditor,
     MachineAuditor,
     MemoryAuditor,
-    MessagingAuditor,
     NullInvariants,
 )
 from .errors import InvariantViolation
@@ -59,7 +58,6 @@ __all__ = [
     "MachineAuditor",
     "MemoryAuditor",
     "BusAuditor",
-    "MessagingAuditor",
     "armed",
     "is_armed",
     "default_auditor",

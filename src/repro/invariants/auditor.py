@@ -17,7 +17,6 @@ Auditor catalog (see ``docs/INVARIANTS.md``):
 * :class:`MachineAuditor` — phase input/shuffle/frontend byte ledgers
 * :class:`MemoryAuditor` — DiskOS static-budget enforcement
 * :class:`BusAuditor` — interconnect transfer lifecycle + byte ledger
-* :class:`MessagingAuditor` — barrier/collective participation counts
 * resource sweep — ``Server`` occupancy/queue/utilization bounds and
   stream-buffer occupancy, checked periodically and at end of run
 """
@@ -32,7 +31,6 @@ from .errors import InvariantViolation
 __all__ = [
     "InvariantAuditor", "NullInvariants", "NULL_INVARIANTS",
     "DriveAuditor", "MachineAuditor", "MemoryAuditor", "BusAuditor",
-    "MessagingAuditor",
 ]
 
 #: Float slack for utilization comparisons (busy-time rounding).
@@ -359,61 +357,6 @@ class BusAuditor:
                            "the transfer ledger")
 
 
-class MessagingAuditor:
-    """Barrier/collective participation counts for one Messaging layer."""
-
-    def __init__(self, hub: "InvariantAuditor", component: str,
-                 num_hosts: int):
-        self.hub = hub
-        self.component = component
-        self.num_hosts = num_hosts
-        self._joined: Dict[Any, set] = {}
-        self._expected: Dict[Any, int] = {}
-
-    def join(self, op: str, key: Any, host: int, participants: int) -> None:
-        where = f"{self.component}.{op}"
-        if not 0 <= host < self.num_hosts:
-            self.hub.fail(
-                where, "participant-range",
-                expected=f"0 <= host < {self.num_hosts}",
-                observed=host, detail=f"key={key!r}")
-        if not 1 <= participants <= self.num_hosts:
-            self.hub.fail(
-                where, "participation-count",
-                expected=f"1 <= participants <= {self.num_hosts}",
-                observed=participants, detail=f"key={key!r}")
-        ident = (op, key)
-        joined = self._joined.setdefault(ident, set())
-        expected = self._expected.setdefault(ident, participants)
-        if expected != participants:
-            self.hub.fail(
-                where, "participation-count",
-                expected={"participants": expected},
-                observed={"participants": participants},
-                detail=f"hosts disagree on the roster for key={key!r}")
-        if host in joined:
-            self.hub.fail(
-                where, "participation-count",
-                expected="each host joins a collective exactly once",
-                observed=f"host {host} joined twice",
-                detail=f"key={key!r}, joined={sorted(joined)}")
-        joined.add(host)
-        self.hub.note("invariants.net.joins")
-        if len(joined) == participants:
-            del self._joined[ident]
-            del self._expected[ident]
-
-    def final_check(self, quiesced: bool) -> None:
-        if quiesced and self._joined:
-            ident = next(iter(self._joined))
-            joined = self._joined[ident]
-            self.hub.fail(
-                f"{self.component}.{ident[0]}", "participation-count",
-                expected={"participants": self._expected[ident]},
-                observed={"joined": len(joined)},
-                detail=f"collective key={ident[1]!r} never released")
-
-
 class InvariantAuditor:
     """The armed hub: registry of component auditors + periodic sweeps.
 
@@ -447,7 +390,6 @@ class InvariantAuditor:
         self._machines: List[MachineAuditor] = []
         self._memories: List[MemoryAuditor] = []
         self._buses: List[BusAuditor] = []
-        self._messaging: List[MessagingAuditor] = []
 
     # ----------------------------------------------------------- install
     def install(self, sim: Any) -> "InvariantAuditor":
@@ -507,12 +449,6 @@ class InvariantAuditor:
     def bus_auditor(self, component: str, moved: Any = None) -> BusAuditor:
         auditor = BusAuditor(self, component, moved)
         self._buses.append(auditor)
-        return auditor
-
-    def messaging_auditor(self, component: str,
-                          num_hosts: int) -> MessagingAuditor:
-        auditor = MessagingAuditor(self, component, num_hosts)
-        self._messaging.append(auditor)
         return auditor
 
     # ------------------------------------------------------------ sweeps
@@ -602,5 +538,3 @@ class InvariantAuditor:
             bus.final_check(quiesced)
         for machine in self._machines:
             machine.final_check(quiesced)
-        for messaging in self._messaging:
-            messaging.final_check(quiesced)

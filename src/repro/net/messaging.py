@@ -1,33 +1,28 @@
-"""MPI-like user-space messaging: async send/recv, barriers, reductions.
+"""MPI-like user-space messaging: tag-matched point-to-point send/recv.
 
 Models the BSPlib-style library the paper assumes on clusters: pinned
-buffers, asynchronous operations and global synchronization. Messages are
-(src, tag, nbytes, payload) tuples; payloads are opaque simulation
-metadata (no actual data bytes are shuffled — only their costs).
+buffers and asynchronous sends. Messages are (src, tag, nbytes, payload)
+tuples; payloads are opaque simulation metadata (no actual data bytes
+are shuffled — only their costs). The functional simulator
+(:mod:`repro.funcsim`) exchanges its partial results through it; the
+cluster machine's own phase barrier is a closed form
+(``ClusterMachine.phase_barrier``).
 
 CPU overheads: each send and each receive completion charges a fixed
 software overhead on the caller's CPU when a per-host CPU server list is
-supplied (the cluster host model does), mirroring how Howsim charged
-user-space messaging costs.
+supplied, mirroring how Howsim charged user-space messaging costs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, List, Optional, Tuple
 
-from ..faults.policies import RetryPolicy, TimeoutPolicy
 from ..sim import Event, Server, Simulator
 from .network import Network
 
 __all__ = ["Message", "Mailbox", "Messaging", "ANY_TAG"]
-
-#: Host-level ack deadline per reliable-send attempt.
-SEND_TIMEOUT = TimeoutPolicy(timeout=50e-3, factor=2.0, max_timeout=1.0)
-#: Bounded resend schedule for reliable sends.
-SEND_RETRY = RetryPolicy(max_attempts=4, base_delay=5e-3, factor=2.0,
-                         max_delay=100e-3)
 
 #: Wildcard receive tag (matches any message), like MPI_ANY_TAG.
 ANY_TAG = object()
@@ -78,7 +73,7 @@ class Mailbox:
 
 
 class Messaging:
-    """Async messaging over a :class:`Network`, with global operations."""
+    """Async point-to-point messaging over a :class:`Network`."""
 
     def __init__(self, network: Network, num_hosts: int,
                  send_overhead: float = 30e-6,
@@ -91,11 +86,6 @@ class Messaging:
         self.recv_overhead = recv_overhead
         self.cpus = cpus
         self.mailboxes = [Mailbox(self.sim, h) for h in range(num_hosts)]
-        self._barrier_waiting: Dict[Any, List[Event]] = {}
-        self._audit = None
-        if self.sim.invariants.enabled:
-            self._audit = self.sim.invariants.messaging_auditor(
-                "net.messaging", num_hosts)
 
     def _charge_cpu(self, host: int,
                     seconds: float) -> Generator[Event, Any, None]:
@@ -129,175 +119,9 @@ class Messaging:
         """Blocking send (generator): returns once delivered."""
         yield self.isend(src, dst, tag, nbytes, payload)
 
-    def send_reliable(self, src: int, dst: int, tag: Any, nbytes: int,
-                      payload: Any = None,
-                      timeout: TimeoutPolicy = SEND_TIMEOUT,
-                      retry: RetryPolicy = SEND_RETRY,
-                      ) -> Generator[Event, Any, bool]:
-        """Blocking send with an ack deadline and bounded resends.
-
-        Each attempt is given ``timeout.timeout_for(attempt)`` simulated
-        seconds to deliver (the transport's own loss recovery usually
-        makes this moot; the deadline covers link flaps that outlast the
-        retransmit budget). A timed-out attempt backs off per ``retry``
-        and re-sends. Returns True once any attempt delivers, False if
-        the retry budget runs dry — the caller decides what a lost
-        message means. Late deliveries of timed-out attempts land in the
-        destination mailbox as duplicates, exactly like a real resend
-        protocol without sequence numbers.
-        """
-        attempt = 0
-        faults = self.sim.faults
-        while True:
-            done = self.isend(src, dst, tag, nbytes, payload)
-            deadline = self.sim.timeout(timeout.timeout_for(attempt))
-            fired, _ = yield self.sim.any_of([done, deadline])
-            if fired is done:
-                if attempt > 0:
-                    faults.note("faults.net.recovered_sends")
-                return True
-            attempt += 1
-            faults.note("faults.net.send_timeouts")
-            if attempt >= retry.max_attempts:
-                faults.note("faults.net.aborted_sends")
-                return False
-            yield self.sim.timeout(retry.delay(attempt))
-
     def recv(self, host: int,
              tag: Any = ANY_TAG) -> Generator[Event, Any, Message]:
         """Blocking receive (generator): returns the matching message."""
         message = yield self.mailboxes[host].receive(tag)
         yield from self._charge_cpu(host, self.recv_overhead)
         return message
-
-    def irecv(self, host: int, tag: Any = ANY_TAG) -> Event:
-        """Asynchronous receive: event fires with the matching message."""
-        return self.mailboxes[host].receive(tag)
-
-    # -- collectives --------------------------------------------------------
-    def barrier(self, host: int, key: Any,
-                participants: int) -> Generator[Event, Any, None]:
-        """Global barrier among ``participants`` hosts, identified by ``key``.
-
-        Implemented as a central counter plus a broadcast release, with the
-        wire cost approximated by two small-message hops (the real
-        implementation's critical path).
-        """
-        if self._audit is not None:
-            self._audit.join("barrier", key, host, participants)
-        waiting = self._barrier_waiting.setdefault(key, [])
-        release = Event(self.sim)
-        waiting.append(release)
-        if len(waiting) == participants:
-            del self._barrier_waiting[key]
-            tel = self.sim.telemetry
-            if tel.enabled:
-                tel.spans.instant("net", f"barrier {key}", "net.collectives",
-                                  args={"participants": participants})
-            cost = 2 * (64 / self.network.tree.params.host_link_rate
-                        + self.network.tree.params.switch_latency)
-            for event in waiting:
-                self.sim.process(_delayed_succeed(self.sim, event, cost))
-        yield release
-
-    def reduce_to_root(self, host: int, root: int, nbytes: int,
-                       key: Any) -> Generator[Event, Any, None]:
-        """Each non-root sends ``nbytes`` to ``root``; root collects all."""
-        if self._audit is not None:
-            self._audit.join("reduce", key, host, self.num_hosts)
-        if host == root:
-            for _ in range(self.num_hosts - 1):
-                yield from self.recv(host, tag=("reduce", key))
-        else:
-            yield from self.send(host, root, ("reduce", key), nbytes)
-
-    def broadcast(self, host: int, root: int, nbytes: int,
-                  key: Any) -> Generator[Event, Any, None]:
-        """Binomial-tree broadcast of ``nbytes`` from ``root``.
-
-        All hosts must call with the same ``key``. Implemented over
-        rank-relative-to-root numbering so any root works.
-        """
-        if self._audit is not None:
-            self._audit.join("bcast", key, host, self.num_hosts)
-        n = self.num_hosts
-        rank = (host - root) % n
-        strides = []
-        stride = 1
-        while stride < n:
-            strides.append(stride)
-            stride *= 2
-        for round_index, stride in enumerate(reversed(strides)):
-            if rank % (2 * stride) == 0 and rank + stride < n:
-                dst = (root + rank + stride) % n
-                yield from self.send(host, dst,
-                                     ("bc", key, round_index), nbytes)
-            elif rank % (2 * stride) == stride:
-                yield from self.recv(host, ("bc", key, round_index))
-
-    def scatter(self, host: int, root: int, nbytes_each: int,
-                key: Any) -> Generator[Event, Any, None]:
-        """Root sends a distinct ``nbytes_each`` block to every host."""
-        if self._audit is not None:
-            self._audit.join("scatter", key, host, self.num_hosts)
-        if host == root:
-            for dst in range(self.num_hosts):
-                if dst != root:
-                    yield from self.send(host, dst, ("sc", key),
-                                         nbytes_each)
-        else:
-            yield from self.recv(host, ("sc", key))
-
-    def gather(self, host: int, root: int, nbytes_each: int,
-               key: Any) -> Generator[Event, Any, None]:
-        """Every host sends ``nbytes_each`` to the root."""
-        if self._audit is not None:
-            self._audit.join("gather", key, host, self.num_hosts)
-        if host == root:
-            for _ in range(self.num_hosts - 1):
-                yield from self.recv(host, ("ga", key))
-        else:
-            yield from self.send(host, root, ("ga", key), nbytes_each)
-
-    def tree_allreduce(self, host: int, nbytes: int,
-                       key: Any) -> Generator[Event, Any, None]:
-        """Binomial-tree reduce to host 0 followed by a tree broadcast.
-
-        ``2 * log2(N)`` message rounds instead of the centralized
-        reduce's ``N`` — the collective the cluster tasks use to merge
-        candidate counters (dmine) without melting any single link.
-        All ``num_hosts`` hosts must call this with the same ``key``.
-        """
-        if self._audit is not None:
-            self._audit.join("allreduce", key, host, self.num_hosts)
-        n = self.num_hosts
-        # Reduce phase: at round r, hosts with bit r set send to the
-        # partner with that bit cleared, then drop out.
-        round_index = 0
-        stride = 1
-        while stride < n:
-            if host % (2 * stride) == stride:
-                yield from self.send(host, host - stride,
-                                     ("ar-up", key, round_index), nbytes)
-                break
-            if host % (2 * stride) == 0 and host + stride < n:
-                yield from self.recv(host, ("ar-up", key, round_index))
-            stride *= 2
-            round_index += 1
-        # Broadcast phase: mirror image, from host 0 back down.
-        strides = []
-        stride = 1
-        while stride < n:
-            strides.append(stride)
-            stride *= 2
-        for round_index, stride in enumerate(reversed(strides)):
-            if host % (2 * stride) == 0 and host + stride < n:
-                yield from self.send(host, host + stride,
-                                     ("ar-down", key, round_index), nbytes)
-            elif host % (2 * stride) == stride:
-                yield from self.recv(host, ("ar-down", key, round_index))
-
-
-def _delayed_succeed(sim: Simulator, event: Event, delay: float):
-    yield sim.timeout(delay)
-    event.succeed()

@@ -38,7 +38,7 @@ from ..traffic.driver import (
 from ..traffic.report import traffic_rows
 from ..workloads import registered_tasks
 
-__all__ = ["FigureDriver", "FIGURES", "SweepRequest"]
+__all__ = ["FigureDriver", "FIGURES", "SweepRequest", "write_figure"]
 
 
 #: Figure sweeps the service (and ``repro sweep``) knows how to run: the
@@ -50,6 +50,16 @@ FIGURES: Dict[str, FigureDriver] = {
     "traffic": FigureDriver(run_traffic_figure, traffic_rows, True,
                             DEFAULT_TRAFFIC_SIZES),
 }
+
+
+def write_figure(figure: str, result, out_dir: str) -> str:
+    """Write ``<figure>.txt`` / ``<figure>.csv`` and refresh
+    ``MANIFEST.json`` in ``out_dir``, atomically; returns the text."""
+    text, csv = FIGURES[figure].render(result)
+    for suffix, content in ((".txt", text), (".csv", csv)):
+        atomic_write_text(os.path.join(out_dir, figure + suffix), content)
+    write_manifest(out_dir)
+    return text.rstrip("\n")
 
 
 @dataclass(frozen=True)
@@ -141,14 +151,9 @@ class SweepRequest:
         ``<figure>.csv``, refreshed ``MANIFEST.json``) land in
         ``out_dir`` via atomic writes.
         """
-        driver = FIGURES[self.figure]
-        text, csv = driver.render(driver.run_fn(runner=runner,
-                                                **self._driver_kwargs()))
-        for suffix, content in ((".txt", text), (".csv", csv)):
-            atomic_write_text(
-                os.path.join(self.out_dir, self.figure + suffix), content)
-        write_manifest(self.out_dir)
-        return text.rstrip("\n")
+        result = FIGURES[self.figure].run_fn(runner=runner,
+                                             **self._driver_kwargs())
+        return write_figure(self.figure, result, self.out_dir)
 
     def finalize(self, journal_path: str) -> str:
         """Rebuild the figure from a completed journal (all cache hits)."""

@@ -27,7 +27,7 @@ __all__ = ["chrome_trace", "metrics_json", "utilization_summary",
 
 #: Synthetic process ids grouping tracks by top-level component, so
 #: Perfetto clusters disk rows together, bus rows together, etc.
-_PID_ORDER = ("phase", "host", "disk", "bus", "net", "diskos")
+_PID_ORDER = ("phase", "host", "disk", "bus", "net")
 
 _BARS = " .:-=+*#%@"
 

@@ -1,5 +1,7 @@
 """Machine-level tests: byte accounting, extras, determinism, configs."""
 
+from collections import Counter
+
 import pytest
 
 from repro.arch import (
@@ -11,8 +13,10 @@ from repro.arch import (
     TaskProgram,
     build_machine,
 )
+from repro.arch.smp import SMPMachine
 from repro.sim import Simulator
 
+KB = 1024
 MB = 1_000_000
 GB = 1_000_000_000
 
@@ -205,6 +209,74 @@ class TestSMPSpecifics:
         fast = run(SMPConfig(num_disks=16).with_interconnect(400 * MB),
                    scan_program())
         assert fast.elapsed < 0.75 * slow.elapsed
+
+
+class TestSMPStriping:
+    """The SMP's RAID-0 map: ``SMPMachine._chunks`` and ``_volume_io``."""
+
+    def machine(self):
+        sim = Simulator()
+        return sim, build_machine(sim, SMPConfig(num_disks=4))
+
+    def test_round_robin_layout(self):
+        sim, machine = self.machine()
+        drives = machine.drives
+        chunk = machine.config.stripe_chunk_bytes
+        layout = [(drives.index(drive), lbn, span) for drive, lbn, span
+                  in machine._chunks(drives, 0, 6 * chunk, 0)]
+        row = chunk // 512
+        assert layout == [(0, 0, chunk), (1, 0, chunk), (2, 0, chunk),
+                          (3, 0, chunk), (0, row, chunk), (1, row, chunk)]
+
+        def proc():
+            yield machine._volume_io("read", drives, 0, chunk, 0)
+            yield machine._volume_io("read", drives, chunk, chunk, 0)
+            yield machine._volume_io("read", drives, 4 * chunk, chunk, 0)
+        sim.process(proc())
+        sim.run()
+        assert [d.bytes_read for d in drives] == [2 * chunk, chunk, 0, 0]
+
+    def test_request_spans_width_drives(self):
+        sim, machine = self.machine()
+        request = machine.config.io_request_bytes
+        assert request == 256 * KB
+        assert machine.config.stripe_chunk_bytes == 64 * KB
+
+        def proc():
+            yield machine._volume_io("read", machine.drives, 0, request, 0)
+        sim.process(proc())
+        sim.run()
+        assert [d.bytes_read for d in machine.drives] == [64 * KB] * 4
+
+
+class TestQueueDepth:
+    """No worker ever has more than ``queue_depth`` reads in flight."""
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    @pytest.mark.parametrize("config_cls", [ActiveDiskConfig, ClusterConfig,
+                                            SMPConfig], ids=IDS)
+    def test_depth_bounds_inflight(self, config_cls, depth):
+        sim = Simulator()
+        machine = build_machine(sim, config_cls(num_disks=4,
+                                                queue_depth=depth))
+        # The SMP's shared-queue loop reads through _read_at; the other
+        # machines' block loop through read_block.
+        name = "_read_at" if isinstance(machine, SMPMachine) else "read_block"
+        read = getattr(machine, name)
+        inflight, peak = Counter(), Counter()
+
+        def counted(phase, w, *args):
+            inflight[w] += 1
+            peak[w] = max(peak[w], inflight[w])
+            try:
+                yield from read(phase, w, *args)
+            finally:
+                inflight[w] -= 1
+
+        setattr(machine, name, counted)
+        machine.run(scan_program(total=64 * MB))
+        assert sorted(peak) == [0, 1, 2, 3]
+        assert set(peak.values()) == {depth}
 
 
 class TestClusterSpecifics:

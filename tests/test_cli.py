@@ -86,6 +86,21 @@ class TestCommands:
                      "--fibreswitch", "4"]) == 0
 
 
+    @pytest.mark.parametrize("variant", [["--interconnect-mb", "400"],
+                                         ["--memory-mb", "64"]],
+                             ids=["interconnect", "memory"])
+    def test_run_rejects_a_variant_the_arch_lacks(self, capsys, variant):
+        assert main(["run", "--arch", "cluster", "--disks", "8",
+                     "--task", "select", "--scale", "1/1024",
+                     *variant]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "cluster" in lines[0]
+        assert variant[0][2:].replace("-", "_") in lines[0]
+
+
 class TestHarnessCommands:
     def test_doctor(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

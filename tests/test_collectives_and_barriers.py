@@ -1,4 +1,4 @@
-"""Tests for tree collectives and per-machine phase barriers."""
+"""Tests for the per-machine phase barriers."""
 
 import pytest
 
@@ -11,61 +11,9 @@ from repro.arch import (
     TaskProgram,
     build_machine,
 )
-from repro.net import FatTree, Messaging, Network
 from repro.sim import Simulator
 
-KB = 1024
 MB = 1_000_000
-
-
-def allreduce_all(hosts, nbytes):
-    sim = Simulator()
-    tree = FatTree(sim, hosts)
-    messaging = Messaging(Network(tree), hosts)
-    done = []
-
-    def participant(host):
-        yield from messaging.tree_allreduce(host, nbytes, key="k")
-        done.append(host)
-
-    for host in range(hosts):
-        sim.process(participant(host))
-    sim.run()
-    return sim, done
-
-
-class TestTreeAllreduce:
-    @pytest.mark.parametrize("hosts", [2, 4, 8, 16, 32])
-    def test_all_participants_complete(self, hosts):
-        _, done = allreduce_all(hosts, 16 * KB)
-        assert sorted(done) == list(range(hosts))
-
-    @pytest.mark.parametrize("hosts", [3, 5, 6, 7, 12])
-    def test_non_power_of_two_completes(self, hosts):
-        _, done = allreduce_all(hosts, 16 * KB)
-        assert sorted(done) == list(range(hosts))
-
-    def test_logarithmic_critical_path(self):
-        """Tree time grows ~log2(N), centralized would grow ~N."""
-        sim8, _ = allreduce_all(8, 256 * KB)
-        sim32, _ = allreduce_all(32, 256 * KB)
-        # 32 hosts = 5 rounds vs 3 rounds: ~1.67x, nowhere near 4x.
-        assert sim32.now < 2.5 * sim8.now
-
-    def test_faster_than_central_reduce_at_scale(self):
-        hosts, nbytes = 32, 256 * KB
-        sim_tree, _ = allreduce_all(hosts, nbytes)
-
-        sim = Simulator()
-        tree = FatTree(sim, hosts)
-        messaging = Messaging(Network(tree), hosts)
-
-        def participant(host):
-            yield from messaging.reduce_to_root(host, 0, nbytes, key="c")
-        for host in range(hosts):
-            sim.process(participant(host))
-        sim.run()
-        assert sim_tree.now < sim.now
 
 
 class TestPhaseBarriers:

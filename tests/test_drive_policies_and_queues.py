@@ -99,34 +99,17 @@ class TestRemoteQueue:
         with pytest.raises(ValueError):
             RemoteQueue(Simulator(), capacity=0)
 
-    def test_fifo_delivery(self):
-        sim = Simulator()
-        queue = RemoteQueue(sim, capacity=4)
-        got = []
-        def sender():
-            for i in range(6):
-                yield from queue.enqueue(i)
-        def receiver():
-            for _ in range(6):
-                item = yield from queue.dequeue()
-                got.append(item)
-                yield sim.timeout(1.0)
-        sim.process(sender())
-        sim.process(receiver())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4, 5]
-
     def test_backpressure_blocks_sender(self):
         sim = Simulator()
         queue = RemoteQueue(sim, capacity=2)
         times = []
         def sender():
-            for i in range(3):
-                yield from queue.enqueue(i)
+            for _ in range(3):
+                yield from queue.acquire_slot()
                 times.append(sim.now)
         def receiver():
             yield sim.timeout(5.0)
-            yield from queue.dequeue()
+            queue.release_slot()
         sim.process(sender())
         sim.process(receiver())
         sim.run()
@@ -150,18 +133,12 @@ class TestRemoteQueue:
         with pytest.raises(RuntimeError):
             queue.release_slot()
 
-    def test_try_enqueue(self):
-        sim = Simulator()
-        queue = RemoteQueue(sim, capacity=1)
-        assert queue.try_enqueue("a")
-        assert not queue.try_enqueue("b")
-
     def test_high_watermark(self):
         sim = Simulator()
         queue = RemoteQueue(sim, capacity=8)
         def proc():
-            for i in range(5):
-                yield from queue.enqueue(i)
+            for _ in range(5):
+                yield from queue.acquire_slot()
         sim.process(proc())
         sim.run()
         assert queue.high_watermark == 5

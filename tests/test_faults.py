@@ -1,21 +1,23 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.disk import SEAGATE_ST39102, DiskDrive
+from repro.experiments import config_for, run_task
 from repro.faults import (
+    FAULT_KINDS,
     DriveFailed,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     NullFaultInjector,
-    QueueTimeout,
     RetryPolicy,
-    TimeoutPolicy,
 )
-from repro.host import LINUX_PII_300, AsyncIO, Cpu, RemoteQueue
 from repro.interconnect import SerialBus
-from repro.net import FatTree, Messaging, Network
+from repro.net import FatTree, Network
 from repro.sim import Event, SimStalled, Simulator
 
 KB = 1024
@@ -126,17 +128,9 @@ class TestPolicies:
         assert retry.delay(2) == pytest.approx(3e-3)   # capped
         assert retry.delay(9) == pytest.approx(3e-3)
 
-    def test_timeout_grows_and_caps(self):
-        timeout = TimeoutPolicy(timeout=0.5, factor=2.0, max_timeout=1.5)
-        assert timeout.timeout_for(0) == pytest.approx(0.5)
-        assert timeout.timeout_for(1) == pytest.approx(1.0)
-        assert timeout.timeout_for(2) == pytest.approx(1.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            TimeoutPolicy(timeout=0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,90 +404,68 @@ class TestNetworkFaults:
         assert sim.now > 0.25
         assert sim.faults.counters["faults.net.flap_waits"] == 1
 
-    def test_send_reliable_succeeds_clean(self):
-        sim = Simulator()
-        tree = FatTree(sim, 2)
-        messaging = Messaging(Network(tree), 2)
-
-        def receiver():
-            yield from messaging.recv(1)
-
-        def sender():
-            ok = yield from messaging.send_reliable(0, 1, "tag", 64 * KB)
-            assert ok
-
-        sim.process(receiver())
-        run_proc(sim, sender())
-
 
 # ---------------------------------------------------------------------------
-# Host-side recovery policies
+# The taxonomy in docs/FAULTS.md
 # ---------------------------------------------------------------------------
 
-class TestHostRecovery:
-    def test_remote_queue_bounded_acquire_times_out(self):
-        sim = Simulator()
-        queue = RemoteQueue(sim, capacity=1, name="rq0")
+FAULTS_MD = Path(__file__).resolve().parents[1] / "docs" / "FAULTS.md"
 
-        def proc():
-            yield from queue.acquire_slot()       # fill the single slot
-            with pytest.raises(QueueTimeout):
-                yield from queue.acquire_slot_with(
-                    RetryPolicy(max_attempts=3, base_delay=1e-4))
+#: One small cell per kind, on an architecture that has the target.
+TAXONOMY_CELLS = {
+    "media_error": ("active", {"target": "disk.0"}),
+    "latent_sector_error": ("active", {"target": "disk.0"}),
+    "drive_failure": ("active", {"target": "disk.1", "at": 0.05}),
+    "drive_slowdown": ("active", {"target": "disk.*", "duration": 10.0,
+                                  "magnitude": 3.0}),
+    "bus_transient": ("active", {"target": "bus.*", "duration": 10.0,
+                                 "magnitude": 0.5}),
+    "loop_outage": ("active", {"target": "bus.*", "duration": 0.05}),
+    "packet_loss": ("cluster", {"target": "net", "duration": 10.0,
+                                "magnitude": 0.2}),
+    "link_flap": ("cluster", {"target": "net.host0", "duration": 0.05}),
+    "disklet_crash": ("active", {"target": "diskos.0", "at": 0.01}),
+    "stream_stall": ("active", {"target": "diskos.*", "duration": 0.05}),
+}
 
-        run_proc(sim, proc())
-        assert queue.timeouts == 1
 
-    def test_aio_retries_failed_device(self):
-        sim = Simulator()
-        cpu = Cpu(sim, 300)
-        failures = {"left": 2}
+def taxonomy_row(kind):
+    """The ``who recovers`` cell of ``kind``'s taxonomy row."""
+    for line in FAULTS_MD.read_text(encoding="utf-8").splitlines():
+        if line.startswith(f"| `{kind}` |"):
+            return line.split("|")[4]
+    raise AssertionError(f"docs/FAULTS.md has no taxonomy row for {kind}")
 
-        def submit(op, offset, nbytes):
-            done = Event(sim)
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                done.fail(DriveFailed("flaky"))
-                done._defused = True
-            else:
-                def ok():
-                    yield sim.timeout(1e-3)
-                    done.succeed()
-                sim.process(ok())
-            return done
 
-        aio = AsyncIO(sim, cpu, LINUX_PII_300, submit,
-                      retry=RetryPolicy(max_attempts=4, base_delay=1e-4))
+def documented_counters(who):
+    """Counter names in a cell; ``faults.a.b/c`` names ``faults.a.b``
+    and ``faults.a.c``."""
+    names = []
+    for token in re.findall(r"`(faults\.[^`]+)`", who):
+        first, *rest = token.split("/")
+        prefix = first.rsplit(".", 1)[0]
+        names.append(first)
+        names.extend(f"{prefix}.{name.lstrip('.')}" for name in rest)
+    return names
 
-        def proc():
-            done = yield from aio.submit("read", 0, 64 * KB)
-            yield done
-            yield from aio.drain()
 
-        run_proc(sim, proc())
-        assert aio.completed == 1
-        assert aio.retried == 2
+class TestTaxonomyCounters:
+    def test_every_kind_has_a_cell(self):
+        assert set(TAXONOMY_CELLS) == FAULT_KINDS
 
-    def test_aio_timeout_aborts_after_budget(self):
-        sim = Simulator()
-        cpu = Cpu(sim, 300)
-
-        def submit(op, offset, nbytes):
-            return Event(sim)   # never completes
-
-        aio = AsyncIO(sim, cpu, LINUX_PII_300, submit,
-                      retry=RetryPolicy(max_attempts=2, base_delay=1e-4),
-                      timeout=TimeoutPolicy(timeout=1e-3))
-
-        def proc():
-            done = yield from aio.submit("read", 0, 64 * KB)
-            try:
-                yield done
-            except Exception as exc:
-                return type(exc).__name__
-            return None
-
-        name = run_proc(sim, proc())
-        assert name == "RequestAborted"
-        assert aio.timeouts == 2
-        assert aio.errors == 1
+    @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
+    def test_documented_counters_are_produced(self, kind):
+        who = taxonomy_row(kind)
+        documented = documented_counters(who)
+        if kind == "drive_slowdown":
+            assert who.strip().startswith("nobody") and not documented
+        else:
+            assert documented, f"{kind}: the row names no counter"
+        arch, fields = TAXONOMY_CELLS[kind]
+        plan = FaultPlan.of(FaultSpec(kind=kind, **fields), seed=7)
+        result = run_task(config_for(arch, 4), "sort", 1 / 1024,
+                          fault_plan=plan)
+        produced = {name for name, value in result.extras.items()
+                    if name.startswith("faults.") and value > 0}
+        required = {f"faults.injected.{kind}", *documented}
+        assert required <= produced, sorted(required - produced)

@@ -1,19 +1,9 @@
-"""Unit tests for host models: CPU scaling, OS costs, AIO, striping."""
+"""Unit tests for host models: CPU scaling and OS costs."""
 
 import pytest
 
-from repro.disk import DiskDrive, SEAGATE_ST39102
-from repro.host import (
-    LINUX_PII_300,
-    REFERENCE_MHZ,
-    AsyncIO,
-    Cpu,
-    StripedVolume,
-    scaled_os_params,
-)
+from repro.host import LINUX_PII_300, REFERENCE_MHZ, Cpu, scaled_os_params
 from repro.sim import Simulator
-
-KB = 1024
 
 
 @pytest.fixture
@@ -92,123 +82,3 @@ class TestOSParams:
         assert params.io_submit_cost() == pytest.approx(26e-6)
         assert params.io_complete_cost() == pytest.approx(154.5e-6)
 
-
-class TestAsyncIO:
-    def make(self, sim, depth=2):
-        cpu = Cpu(sim, 300)
-        drive = DiskDrive(sim, SEAGATE_ST39102)
-        aio = AsyncIO(sim, cpu, LINUX_PII_300.at_mhz(300),
-                      drive.submit, depth=depth)
-        return cpu, drive, aio
-
-    def test_depth_validation(self, sim):
-        with pytest.raises(ValueError):
-            self.make(sim, depth=0)
-
-    def test_submit_and_drain(self, sim):
-        _, drive, aio = self.make(sim)
-        def proc():
-            for i in range(6):
-                yield from aio.submit("read", i * 512, 64 * KB)
-            yield from aio.drain()
-        sim.process(proc())
-        sim.run()
-        assert aio.submitted == 6
-        assert aio.completed == 6
-        assert drive.bytes_read == 6 * 64 * KB
-
-    def test_depth_bounds_inflight(self, sim):
-        cpu, drive, aio = self.make(sim, depth=2)
-        max_inflight = []
-        def proc():
-            for i in range(8):
-                yield from aio.submit("read", i * 512, 64 * KB)
-                max_inflight.append(aio.submitted - aio.completed)
-            yield from aio.drain()
-        sim.process(proc())
-        sim.run()
-        assert max(max_inflight) <= 2 + 1  # +1: completion cost pending
-
-    def test_os_costs_charged_on_cpu(self, sim):
-        cpu, _, aio = self.make(sim)
-        def proc():
-            yield from aio.submit("read", 0, 64 * KB)
-            yield from aio.drain()
-        sim.process(proc())
-        sim.run()
-        assert cpu.busy.buckets["os"] > 0
-
-
-class TestStripedVolume:
-    def make_volume(self, sim, drives=4, chunk=64 * KB):
-        disks = [DiskDrive(sim, SEAGATE_ST39102, name=f"d{i}")
-                 for i in range(drives)]
-        return disks, StripedVolume(sim, disks, chunk_bytes=chunk)
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            StripedVolume(sim, [])
-        disks = [DiskDrive(sim, SEAGATE_ST39102)]
-        with pytest.raises(ValueError):
-            StripedVolume(sim, disks, chunk_bytes=1000)  # not sector mult
-
-    def test_request_spans_width_drives(self, sim):
-        disks, volume = self.make_volume(sim)
-        def proc():
-            yield volume.read(0, 256 * KB)
-        sim.process(proc())
-        sim.run()
-        assert all(d.bytes_read == 64 * KB for d in disks)
-
-    def test_round_robin_layout(self, sim):
-        disks, volume = self.make_volume(sim)
-        def proc():
-            yield volume.read(0, 64 * KB)       # drive 0
-            yield volume.read(64 * KB, 64 * KB)  # drive 1
-            yield volume.read(4 * 64 * KB, 64 * KB)  # drive 0, row 1
-        sim.process(proc())
-        sim.run()
-        assert disks[0].bytes_read == 2 * 64 * KB
-        assert disks[1].bytes_read == 64 * KB
-        assert disks[2].bytes_read == 0
-
-    def test_parallel_chunks_faster_than_serial(self, sim):
-        _, volume = self.make_volume(sim)
-        def proc():
-            for i in range(10):
-                yield volume.read(i * 256 * KB, 256 * KB)
-        sim.process(proc())
-        sim.run()
-        parallel_time = sim.now
-        sim2 = Simulator()
-        drive = DiskDrive(sim2, SEAGATE_ST39102)
-        def serial():
-            lbn = 0
-            for _ in range(10):
-                yield drive.read(lbn, 256 * KB)
-                lbn += 512
-        sim2.process(serial())
-        sim2.run()
-        assert parallel_time < sim2.now
-
-    def test_write_accounting(self, sim):
-        disks, volume = self.make_volume(sim)
-        def proc():
-            yield volume.write(0, 512 * KB)
-        sim.process(proc())
-        sim.run()
-        assert sum(d.bytes_written for d in disks) == 512 * KB
-
-    def test_capacity(self, sim):
-        disks, volume = self.make_volume(sim)
-        assert volume.capacity_bytes() > 4 * 8e9
-
-    def test_unaligned_offset_rejected(self, sim):
-        _, volume = self.make_volume(sim)
-        with pytest.raises(ValueError):
-            volume._locate(1000)
-
-    def test_bad_size_rejected(self, sim):
-        _, volume = self.make_volume(sim)
-        with pytest.raises(ValueError):
-            volume.read(0, 0)

@@ -180,32 +180,6 @@ class TestMessaging:
         sim.run()
         assert messaging.mailboxes[1].pending() == 4
 
-    def test_barrier_releases_all_at_once(self):
-        sim, _, net = make_net(8)
-        messaging = Messaging(net, 8)
-        times = []
-        def proc(host):
-            yield sim.timeout(host * 0.01)
-            yield from messaging.barrier(host, "b", 8)
-            times.append(sim.now)
-        for host in range(8):
-            sim.process(proc(host))
-        sim.run()
-        assert len(set(times)) == 1
-        assert times[0] > 0.07
-
-    def test_reduce_to_root(self):
-        sim, _, net = make_net(8)
-        messaging = Messaging(net, 8)
-        done = []
-        def proc(host):
-            yield from messaging.reduce_to_root(host, 0, 4 * KB, key="r1")
-            done.append(host)
-        for host in range(8):
-            sim.process(proc(host))
-        sim.run()
-        assert sorted(done) == list(range(8))
-
     def test_cpu_overheads_charged(self):
         from repro.sim import Server
         sim, _, net = make_net(4)

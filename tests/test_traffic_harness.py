@@ -177,6 +177,23 @@ class TestTrafficCLI:
         journal = SweepJournal.load(journal_path)
         assert journal.counts()["done"] == 1
 
+    def test_resume_rebuilds_traffic_artifacts(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        journal_path = str(tmp_path / "t.journal.jsonl")
+        assert main(["traffic", "--arch", "active", "--sessions", "200",
+                     "--loads", "0.5,1.5", "--journal", journal_path,
+                     "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        names = ("traffic.txt", "traffic.csv")
+        first = {name: (out_dir / name).read_bytes() for name in names}
+        for name in names:
+            (out_dir / name).unlink()
+        assert main(["resume", journal_path]) == 0
+        out = capsys.readouterr().out
+        assert "resumed_cells=2" in out and "completed=" not in out
+        assert {name: (out_dir / name).read_bytes()
+                for name in names} == first
+
     def test_doctor_smoke_includes_traffic_percentiles(self, capsys):
         assert main(["doctor"]) == 0
         out = capsys.readouterr().out
