@@ -447,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_harness_flags(cmd) -> None:
     cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes; > 1 isolates each cell in "
-                          "its own subprocess (default 1)")
+                     help="worker processes; > 1 runs cells in a pool of "
+                          "N forked workers, each reused until an attempt "
+                          "fails (default 1)")
     cmd.add_argument("--timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-cell wall-clock timeout (implies process "
@@ -459,8 +460,9 @@ def _add_harness_flags(cmd) -> None:
     cmd.add_argument("--memory-budget", type=int, default=None,
                      metavar="MB",
                      help="per-cell address-space budget in MB (implies "
-                          "process isolation); a cell that busts it is "
-                          "quarantined as 'oom', not retried")
+                          "process isolation, one cell per worker); a "
+                          "cell that busts it is quarantined as 'oom', "
+                          "not retried")
 
 
 def _harness(args, journal: Optional[str], meta=None):

@@ -37,7 +37,8 @@ from ..arch import RunResult
 from .artifacts import result_from_dict
 from .journal import SweepJournal
 from .lifecycle import CellLedger
-from .workers import CellOutcome, CellSpec, run_cell, run_ledger
+from .workers import (CellOutcome, CellSpec, check_pool_options, run_cell,
+                      run_ledger)
 
 __all__ = ["SweepRunner", "SweepInterrupted", "execute_cells",
            "resume_sweep"]
@@ -71,6 +72,7 @@ class SweepRunner:
                  telemetry=None,
                  meta: Optional[Dict] = None,
                  memory_budget_mb: Optional[int] = None):
+        check_pool_options(jobs, timeout, memory_budget_mb)
         self.journal_path = journal_path
         self.jobs = jobs
         self.timeout = timeout

@@ -9,13 +9,17 @@ records, the worker processes receive, and the config hash covers.
 :func:`run_cells` executes a batch of specs. With ``jobs == 1`` and no
 timeout it runs them inline, in order, in the calling process — the
 exact code path the figure drivers always had, so default results stay
-byte-identical. With ``jobs > 1`` (or a timeout) each simulation runs in
-its own subprocess, so a crash (segfault, OOM kill) or a hang in one
+byte-identical. With ``jobs > 1`` (or a timeout) the cells run in a pool
+of at most ``jobs`` forked worker processes, each sent one spec at a
+time over its pipe. A worker that reports ``ok`` takes the next ready
+cell; after any failed attempt it is gone, so a retry always starts in
+a fresh process. A crash (segfault, OOM kill) or a hang in one
 pathological configuration is contained: the supervisor reaps the
 worker and reports the failed attempt to the cell's
 :class:`~repro.experiments.lifecycle.CellLedger`, which retries it with
 exponential backoff up to ``retries`` times and finally *quarantines*
-the cell rather than sinking the sweep.
+the cell rather than sinking the sweep. Under a memory budget each
+worker runs one cell, so the budget caps that cell alone.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .lifecycle import CellLedger, CellOutcome
 from .runner import DEFAULT_SCALE, config_for, run_task
 
 __all__ = ["CellSpec", "CellOutcome", "run_cells", "run_ledger", "run_cell",
-           "build_config", "drain_pool"]
+           "build_config", "check_pool_options", "drain_pool"]
 
 #: Named drive models a spec may reference (JSON-friendly indirection).
 DRIVE_NAMES = ("SEAGATE_ST39102", "HITACHI_DK3E1T91")
@@ -184,49 +188,62 @@ def _apply_memory_budget(budget_mb: int) -> bool:
 
 
 def _worker_main(cell_fn, spec_dict: Dict, conn,
-                 memory_budget_mb: Optional[int] = None) -> None:
-    """Entry point of one worker subprocess: run one cell, pipe it back.
+                 memory_budget_mb: Optional[int] = None,
+                 inherited: Sequence = ()) -> None:
+    """Entry point of one pooled worker: run cells, pipe each result back.
 
-    A forked worker inherits its supervisor's signal handlers. The
-    supervisor owns shutdown (:func:`drain_pool`), so the worker ignores
-    the terminal's SIGINT and lets SIGTERM end it without a traceback.
+    The first spec comes as an argument, later ones over ``conn``, and
+    each is answered with one ``(kind, payload)`` reply. The worker waits
+    for another spec only after an ``ok``, and never under a memory
+    budget: ``RLIMIT_AS`` caps the whole address space, so a reused
+    worker would carry earlier cells' mappings into the next cell's
+    budget. It exits when its supervisor is gone (end of file or a
+    broken pipe on ``conn``).
+
+    A forked worker inherits its supervisor's signal handlers and its
+    ends of the pool's pipes (``inherited``), which it closes so that
+    the supervisor's exit reads as end of file. The supervisor owns
+    shutdown (:func:`drain_pool`), so the worker ignores the terminal's
+    SIGINT and lets SIGTERM end it without a traceback.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from ..invariants import InvariantViolation
+    for end in inherited:
+        end.close()
     if memory_budget_mb is not None:
         _apply_memory_budget(memory_budget_mb)
     try:
-        result = cell_fn(CellSpec.from_dict(spec_dict))
-        conn.send(("ok", result_to_dict(result)))
+        while True:
+            kind, payload = _attempt(cell_fn, spec_dict, memory_budget_mb)
+            conn.send((kind, payload))
+            if kind != "ok" or memory_budget_mb is not None:
+                return
+            spec_dict = conn.recv()
+    except (EOFError, OSError):     # the supervisor is gone
+        pass
+    finally:
+        conn.close()
+
+
+def _attempt(cell_fn, spec_dict: Dict, memory_budget_mb: Optional[int]):
+    """Run one cell in a worker; the ``(kind, payload)`` it reports."""
+    from ..invariants import InvariantViolation
+    try:
+        return "ok", result_to_dict(cell_fn(CellSpec.from_dict(spec_dict)))
     except MemoryError:
         # The allocation that tripped RLIMIT_AS is gone once the frame
         # unwinds; keep this handler allocation-light all the same. A
         # MemoryError with no budget set is host pressure, not a budget
         # bust — report it as an ordinary (retryable) error.
-        kind = "oom" if memory_budget_mb is not None else "error"
-        message = (f"cell exceeded its {memory_budget_mb} MB memory budget"
-                   if memory_budget_mb is not None
-                   else "MemoryError outside any configured budget")
-        try:
-            conn.send((kind, message))
-        except BrokenPipeError:  # pragma: no cover - supervisor died
-            pass
+        if memory_budget_mb is not None:
+            return "oom", (f"cell exceeded its {memory_budget_mb} MB "
+                           f"memory budget")
+        return "error", "MemoryError outside any configured budget"
     except InvariantViolation as violation:
-        try:
-            conn.send(("violation", {
-                "report": violation.report(),
-                "error": traceback.format_exc(limit=20),
-            }))
-        except BrokenPipeError:  # pragma: no cover - supervisor died
-            pass
+        return "violation", {"report": violation.report(),
+                             "error": traceback.format_exc(limit=20)}
     except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc(limit=20)))
-        except BrokenPipeError:  # pragma: no cover - supervisor died
-            pass
-    finally:
-        conn.close()
+        return "error", traceback.format_exc(limit=20)
 
 
 def _mp_context(name: Optional[str] = None):
@@ -331,12 +348,29 @@ def run_ledger(ledger: CellLedger, *,
     """Run ``ledger``'s queued cells to terminal states; its outcomes.
 
     With ``jobs == 1``, no timeout and no memory budget, cells run
-    inline. Otherwise each attempt runs in its own subprocess, and
-    ``memory_budget_mb`` caps its address space (RLIMIT_AS, POSIX
-    only): a cell that busts it fails as ``oom`` while the host stays
-    up. ``KeyboardInterrupt`` (and SIGTERM re-raised as one) propagates
-    only after every live worker is terminated — no orphans.
+    inline. Otherwise they run in a pool of at most ``jobs`` worker
+    processes, forked as ready cells need them: a worker runs cell after
+    cell while each reports ``ok``, and after any failed attempt it is
+    replaced, so a retry starts in a fresh process. ``memory_budget_mb``
+    caps a worker's address space (RLIMIT_AS, POSIX only) and keeps it
+    to one cell: a cell that busts it fails as ``oom`` while the host
+    stays up. When this returns or raises — ``KeyboardInterrupt``, and
+    SIGTERM re-raised as one, included — every worker it forked, idle
+    or busy, has been reaped: no orphans.
     """
+    check_pool_options(jobs, timeout, memory_budget_mb)
+    if jobs > 1 or timeout is not None or memory_budget_mb is not None:
+        _run_pool(ledger, jobs=jobs, timeout=timeout, cell_fn=cell_fn,
+                  mp_context=mp_context, memory_budget_mb=memory_budget_mb)
+    else:
+        _run_inline(ledger, cell_fn)
+    return ledger.outcomes
+
+
+def check_pool_options(jobs: int, timeout: Optional[float],
+                       memory_budget_mb: Optional[int]) -> None:
+    """Raise ``ValueError`` for a pool setting :func:`run_ledger` refuses;
+    ``SweepRunner`` checks its own before it journals anything."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if timeout is not None and timeout <= 0:
@@ -344,12 +378,6 @@ def run_ledger(ledger: CellLedger, *,
     if memory_budget_mb is not None and memory_budget_mb < 1:
         raise ValueError(
             f"memory budget must be >= 1 MB, got {memory_budget_mb}")
-    if jobs > 1 or timeout is not None or memory_budget_mb is not None:
-        _run_pool(ledger, jobs=jobs, timeout=timeout, cell_fn=cell_fn,
-                  mp_context=mp_context, memory_budget_mb=memory_budget_mb)
-    else:
-        _run_inline(ledger, cell_fn)
-    return ledger.outcomes
 
 
 def _run_inline(ledger: CellLedger, cell_fn) -> None:
@@ -372,36 +400,67 @@ def _run_inline(ledger: CellLedger, cell_fn) -> None:
             ledger.done(spec.key, attempt, result)
 
 
+def _spawn(ctx, cell_fn, spec: CellSpec, memory_budget_mb,
+           pool: List[_Running]):
+    """Fork a worker for ``spec``; its process and the supervisor's end.
+
+    The worker closes its copies of every supervisor end: its own and
+    those of ``pool``, the workers already alive.
+    """
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(
+        target=_worker_main,
+        args=(cell_fn, spec.to_dict(), child, memory_budget_mb,
+              [parent] + [entry.conn for entry in pool]),
+        name=f"repro-cell-{spec.key}", daemon=True)
+    proc.start()
+    child.close()
+    return proc, parent
+
+
+def _reuse(idle: List[_Running], spec: CellSpec):
+    """Send ``spec`` to an idle worker: its process and the supervisor's
+    end, or None when no idle worker is left alive."""
+    while idle:
+        worker = idle.pop()
+        try:
+            worker.conn.send(spec.to_dict())
+            return worker.proc, worker.conn
+        except OSError:     # it died while idle
+            _reap(worker)
+    return None
+
+
 def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
               memory_budget_mb) -> None:
     ctx = _mp_context(mp_context)
-    running: List[_Running] = []
+    busy: List[_Running] = []
+    idle: List[_Running] = []   # live workers whose last cell was ``ok``
     try:
-        while ledger.queue or running:
-            now = time.monotonic()
-            while len(running) < jobs:
+        while ledger.queue or busy:
+            while len(busy) < jobs:
                 started = ledger.start_next()
                 if started is None:
                     break
                 spec, attempt = started
-                parent, child = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(cell_fn, spec.to_dict(), child, memory_budget_mb),
-                    name=f"repro-cell-{spec.key}", daemon=True)
-                proc.start()
-                child.close()
-                deadline = now + timeout if timeout is not None else None
-                running.append(_Running(proc, parent, spec, attempt,
-                                        deadline))
-            if not running:
+                reused = _reuse(idle, spec) if attempt == 0 else None
+                if reused is None and idle:
+                    # A retry starts in a fresh process; retiring an idle
+                    # worker for it keeps the pool at ``jobs`` processes.
+                    _reap(idle.pop())
+                proc, conn = reused or _spawn(ctx, cell_fn, spec,
+                                              memory_budget_mb, busy + idle)
+                deadline = (time.monotonic() + timeout
+                            if timeout is not None else None)
+                busy.append(_Running(proc, conn, spec, attempt, deadline))
+            if not busy:
                 time.sleep(0.005)
                 continue
             multiprocessing.connection.wait(
-                [entry.conn for entry in running], timeout=0.05)
+                [entry.conn for entry in busy], timeout=0.05)
             now = time.monotonic()
             still: List[_Running] = []
-            for entry in running:
+            for entry in busy:
                 key, attempt = entry.spec.key, entry.attempt
                 ready = entry.conn.poll()
                 dead = not ready and not entry.proc.is_alive()
@@ -417,8 +476,12 @@ def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
                         kind, payload = "crashed", (
                             f"worker exited without a result "
                             f"(exitcode {entry.proc.exitcode})")
-                    entry.proc.join(1.0)
-                    _reap(entry)
+                    if (kind == "ok" and memory_budget_mb is None
+                            and entry.proc.is_alive()):
+                        idle.append(entry)
+                    else:   # the worker exits after this reply
+                        entry.proc.join(1.0)
+                        _reap(entry)
                     if kind == "ok":
                         ledger.done(key, attempt, result_from_dict(payload))
                     elif kind == "violation":
@@ -439,6 +502,6 @@ def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
                                   f"timeout", "timeout")
                 else:
                     still.append(entry)
-            running = still
+            busy = still
     finally:
-        drain_pool(running)
+        drain_pool(busy + idle)

@@ -19,7 +19,7 @@ inline.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..experiments.artifacts import atomic_write_text, write_manifest
@@ -71,7 +71,6 @@ class SweepRequest:
     tasks: Optional[Tuple[str, ...]] = None
     scale: float = DEFAULT_SCALE
     out_dir: str = "results"
-    extra: Dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.figure not in FIGURES:

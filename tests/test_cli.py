@@ -136,6 +136,21 @@ class TestHarnessCommands:
         assert [line for line in first.splitlines() if "|" in line] == \
                [line for line in second.splitlines() if "|" in line]
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--jobs", "0"],
+        ["sweep", "fig1", "--sizes", "2", "--tasks", "select",
+         "--timeout", "0"],
+        ["sweep", "fig1", "--sizes", "2", "--tasks", "select",
+         "--memory-budget", "0"],
+    ], ids=["build-jobs", "sweep-timeout", "sweep-memory-budget"])
+    def test_rejected_pool_option_writes_no_journal(self, argv, tmp_path,
+                                                    capsys):
+        assert main(argv + ["--scale", "1/4096",
+                            "--out-dir", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert list(tmp_path.rglob("*.journal.jsonl")) == []
+
     def test_resume_missing_journal_fails(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["resume"])   # journal path is required

@@ -6,6 +6,7 @@ subsequent resume re-runs only the incomplete cells yet produces results
 bit-identical to a sweep that was never interrupted.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -17,6 +18,7 @@ from repro.experiments import (
     SweepInterrupted,
     SweepRunner,
     resume_sweep,
+    run_cell,
     run_cells,
 )
 from repro.experiments.journal import SweepJournal
@@ -219,16 +221,32 @@ class _LateFirstPoll:
         self._conn.close()
 
 
+class _KilledAfterResult(_LateFirstPoll):
+    """A pool pipe end whose first ``poll()`` waits for the worker's
+    result, then SIGKILLs the worker and reports no data: a worker that
+    would be reused dies right after sending ``ok``."""
+
+    def poll(self, timeout=0.0):
+        if not self._polled:
+            self._polled = True
+            assert self._conn.poll(30.0), "the worker sent no result"
+            self.proc.kill()
+            self.proc.join(30.0)
+            return False
+        return self._conn.poll(timeout)
+
+
 class _LatePollContext:
     """A multiprocessing context stand-in handing out late-poll pipes."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, end=_LateFirstPoll):
         self._ctx = ctx
+        self._end = end
         self._parent = None
 
     def Pipe(self, duplex=True):
         parent, child = self._ctx.Pipe(duplex=duplex)
-        self._parent = _LateFirstPoll(parent)
+        self._parent = self._end(parent)
         return self._parent, child
 
     def Process(self, **kwargs):
@@ -237,23 +255,84 @@ class _LatePollContext:
         return proc
 
 
+def _note_attempt(marks, spec):
+    with open(marks, "a", encoding="utf-8") as handle:
+        handle.write(f"{spec.key} {os.getpid()}\n")
+
+
+def _attempt_pids(marks):
+    """(key, pid) per attempt, in the order the attempts began."""
+    if not os.path.exists(marks):
+        return []
+    with open(marks, encoding="utf-8") as handle:
+        return [tuple(line.split()) for line in handle]
+
+
+def _recording_pids(marks):
+    """A cell that notes ``key pid`` in ``marks``, then runs for real."""
+    def cell(spec):
+        _note_attempt(marks, spec)
+        return run_cell(spec)
+    return cell
+
+
+def _failing_first_attempts(marks, kinds):
+    """A recording cell whose first attempt of each key in ``kinds``
+    fails that way: ``error`` raises, ``crashed`` SIGKILLs its worker,
+    ``timeout`` hangs."""
+    def cell(spec):
+        first = all(key != spec.key for key, _ in _attempt_pids(marks))
+        _note_attempt(marks, spec)
+        kind = kinds.get(spec.key) if first else None
+        if kind == "error":
+            raise RuntimeError(f"first attempt of {spec.key} fails")
+        if kind == "crashed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if kind == "timeout":
+            time.sleep(60)
+        return run_cell(spec)
+    return cell
+
+
 @pytest.mark.skipif("fork" not in __import__("multiprocessing")
                     .get_all_start_methods(),
                     reason="fork start method required")
 class TestProcessIsolation:
     def test_result_sent_just_before_exit_is_kept(self, monkeypatch):
         # The worker sends its result and exits between the supervisor's
-        # poll and its liveness check; the result must still count.
+        # poll and its liveness check; the result must still count. A
+        # worker under a memory budget exits after each cell, so the
+        # budget makes the exit real.
         import repro.experiments.workers as workers_mod
         ctx = workers_mod._mp_context("fork")
         monkeypatch.setattr(workers_mod, "_mp_context",
                             lambda name=None: _LatePollContext(ctx))
-        outcomes = run_cells(SPECS[:2], jobs=2, retries=0)
+        outcomes = run_cells(SPECS[:2], jobs=2, retries=0,
+                             memory_budget_mb=2048)
         assert [o.status for o in outcomes] == ["done", "done"]
         assert all(o.attempts == 1 for o in outcomes)
         inline = _uninterrupted_results()
         assert {o.key: o.result for o in outcomes} == {
             key: inline[key] for key in (SPECS[0].key, SPECS[1].key)}
+
+    def test_result_sent_just_before_kill_is_kept(self, monkeypatch,
+                                                  tmp_path):
+        # A worker killed right after sending ``ok`` is not reused: its
+        # result counts, and the next cell runs in a replacement.
+        import repro.experiments.workers as workers_mod
+        ctx = workers_mod._mp_context("fork")
+        monkeypatch.setattr(
+            workers_mod, "_mp_context",
+            lambda name=None: _LatePollContext(ctx, _KilledAfterResult))
+        marks = str(tmp_path / "pids")
+        outcomes = run_cells(SPECS[:3], jobs=2, retries=0,
+                             cell_fn=_recording_pids(marks))
+        assert [o.status for o in outcomes] == ["done"] * 3
+        assert all(o.attempts == 1 for o in outcomes)
+        assert len({pid for _, pid in _attempt_pids(marks)}) == 3
+        inline = _uninterrupted_results()
+        assert {o.key: o.result for o in outcomes} == {
+            spec.key: inline[spec.key] for spec in SPECS[:3]}
 
     def test_parallel_pool_matches_inline(self):
         inline = _uninterrupted_results()
@@ -295,3 +374,80 @@ class TestProcessIsolation:
         assert by_key[SPECS[0].key].status == "quarantined"
         done = [o for o in outcomes if o.status == "done"]
         assert len(done) == len(SPECS) - 1
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="fork start method required")
+class TestWorkerReuse:
+    """A pooled worker runs cell after cell until an attempt fails."""
+
+    def test_jobs_workers_run_every_cell(self, tmp_path):
+        marks = str(tmp_path / "pids")
+        outcomes = run_cells(SPECS, jobs=2, mp_context="fork",
+                             cell_fn=_recording_pids(marks))
+        assert len(_attempt_pids(marks)) == len(SPECS)
+        assert len({pid for _, pid in _attempt_pids(marks)}) == 2
+        assert {o.key: o.result for o in outcomes} == \
+            _uninterrupted_results()
+
+    def test_failed_attempt_retries_in_a_new_worker(self, tmp_path):
+        marks = str(tmp_path / "pids")
+        kinds = {SPECS[0].key: "error", SPECS[1].key: "crashed",
+                 SPECS[2].key: "timeout"}
+        failed = []
+        outcomes = run_cells(
+            SPECS, jobs=2, timeout=3.0, retries=1, backoff=0.0,
+            mp_context="fork", cell_fn=_failing_first_attempts(marks, kinds),
+            on_attempt_failed=lambda spec, attempt, error, kind:
+                failed.append((spec.key, kind)))
+        assert sorted(failed) == sorted(kinds.items())
+        assert {o.key: o.attempts for o in outcomes} == {
+            spec.key: 2 if spec.key in kinds else 1 for spec in SPECS}
+        attempts = _attempt_pids(marks)
+        for key in kinds:
+            retry = max(index for index, (seen, _) in enumerate(attempts)
+                        if seen == key)
+            assert attempts[retry][1] not in {
+                pid for _, pid in attempts[:retry]}
+        assert {o.key: o.result for o in outcomes} == \
+            _uninterrupted_results()
+
+    def test_memory_budget_keeps_one_cell_per_worker(self, tmp_path):
+        marks = str(tmp_path / "pids")
+        outcomes = run_cells(SPECS[:4], jobs=2, mp_context="fork",
+                             memory_budget_mb=2048,
+                             cell_fn=_recording_pids(marks))
+        assert [o.status for o in outcomes] == ["done"] * 4
+        assert len({pid for _, pid in _attempt_pids(marks)}) == 4
+
+    def test_no_worker_outlives_run_cells(self):
+        outcomes = run_cells(SPECS, jobs=2, mp_context="fork")
+        assert all(o.status == "done" for o in outcomes)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_an_interrupted_run(self, tmp_path):
+        def interrupt(outcome):
+            raise KeyboardInterrupt
+
+        runner = SweepRunner(str(tmp_path / "j.jsonl"), jobs=2)
+        with pytest.raises(SweepInterrupted):
+            runner.run(SPECS, after_cell=interrupt)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exits_when_its_supervisor_end_closes(self):
+        from repro.experiments.workers import _Running, _spawn
+        ctx = multiprocessing.get_context("fork")
+        first_proc, first_end = _spawn(ctx, run_cell, SPECS[0], None, [])
+        first = _Running(first_proc, first_end, SPECS[0], 0, None)
+        # The second worker closes its inherited copy of the first's end.
+        second_proc, second_end = _spawn(ctx, run_cell, SPECS[1], None,
+                                         [first])
+        for proc, end in ((first_proc, first_end),
+                          (second_proc, second_end)):
+            assert end.poll(30.0) and end.recv()[0] == "ok"
+            assert proc.is_alive()      # waiting for its next cell
+        for proc, end in ((first_proc, first_end),
+                          (second_proc, second_end)):
+            end.close()
+            proc.join(1.0)
+            assert not proc.is_alive()
