@@ -1149,6 +1149,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_doctor(args)
     if args.command == "traffic":
         from .experiments import SweepInterrupted
+        from .experiments.workers import check_pool_options
+        try:
+            check_pool_options(args.jobs, args.timeout, args.memory_budget)
+        except ValueError as exc:   # a rejected harness flag
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         try:
             return _command_traffic(args)
         except SweepInterrupted as exc:

@@ -2,11 +2,14 @@
 
 Every cell of a sweep moves through the state machine of
 :mod:`repro.experiments.lifecycle`, and the journal records each
-transition as one JSON line, flushed and fsync'd at the moment it
-happens. Because the file is append-only and every line is
-self-contained, a journal is valid after *any* crash: a torn final line
-(the write the crash interrupted) is detected and ignored on load, and
-the fold over the surviving lines reconstructs the exact sweep state.
+transition as one JSON line, written and flushed at the moment it
+happens. Most records are fsync'd at once; the ledger defers the fsync
+of the records whose loss costs a resume nothing (``docs/HARNESS.md``
+says which), and the next fsync of the file makes them durable too.
+Because the file is append-only and every line is self-contained, a
+journal is valid after *any* crash: a torn final line (the write the
+crash interrupted) is detected and ignored on load, and the fold over
+the surviving lines reconstructs the exact sweep state.
 
 ``pending`` records carry the cell's full :class:`CellSpec` encoding and
 a hash of the configuration it implies, so a journal alone is enough to
@@ -97,11 +100,14 @@ class AppendLog:
     """An append-only JSONL file tolerating a crash-torn final line.
 
     Subclasses override :meth:`_fold` to reconstruct state from the
-    record stream. Appends are flushed and fsync'd one self-contained
-    line at a time, so after any crash the file is either well-formed
-    or torn only in its final line — which :meth:`load` detects,
-    counts in ``torn_lines``, and ignores, and which the next append
-    trims so new records never concatenate onto the fragment.
+    record stream. Appends are flushed one self-contained line at a
+    time and fsync'd unless appended with ``sync=False``; :meth:`sync`
+    then makes them durable with one fsync. After any crash the file is
+    either well-formed or torn only in its final line — which
+    :meth:`load` detects, counts in ``torn_lines``, and ignores, and
+    which the next append trims so new records never concatenate onto
+    the fragment. A power cut may also drop a tail of unsynced records,
+    never one followed by a synced record.
 
     Every written record carries a ``crc`` field (CRC32 of the rest of
     the line, see :func:`record_crc`) that :meth:`load` verifies;
@@ -116,6 +122,7 @@ class AppendLog:
         self.torn_lines = 0
         self.write_retries = write_retries
         self._handle = None
+        self._unsynced = False
 
     # ------------------------------------------------------------- load
     @classmethod
@@ -209,7 +216,7 @@ class AppendLog:
             except OSError:
                 pass
 
-    def _append(self, record: Dict) -> None:
+    def _append(self, record: Dict, sync: bool = True) -> None:
         stamped = dict(record)
         stamped["crc"] = record_crc(record)
         # One write call per record: appends from concurrent processes
@@ -232,9 +239,21 @@ class AppendLog:
                 raise JournalWriteError(
                     f"{self.path}: append failed ({error}); journal "
                     f"left well-formed") from error
-        # Phase 2: make it durable. The line is complete on disk, so a
+        self._unsynced = True
+        if sync:
+            self.sync()
+        self._fold(record)
+
+    def sync(self) -> None:
+        """Make every record appended so far durable: one fsync, none
+        when nothing is pending."""
+        if not self._unsynced:
+            return
+        io = current_io()
+        attempts = max(1, self.write_retries + 1)
+        # Phase 2: make it durable. The lines are complete on disk, so a
         # retry must only re-fsync on a fresh handle — rewriting would
-        # duplicate the record.
+        # duplicate a record.
         for attempt in range(attempts):
             try:
                 self._ensure_open(io)
@@ -245,9 +264,9 @@ class AppendLog:
                 if error.errno == errno.EIO and attempt + 1 < attempts:
                     continue
                 raise JournalWriteError(
-                    f"{self.path}: fsync failed ({error}); the record "
-                    f"is complete but not guaranteed durable") from error
-        self._fold(record)
+                    f"{self.path}: fsync failed ({error}); the records "
+                    f"are complete but not guaranteed durable") from error
+        self._unsynced = False
 
     def close(self) -> None:
         if self._handle is not None:
@@ -331,9 +350,9 @@ class SweepJournal(AppendLog):
                 cell.failures.append(record["error"])
 
     # ----------------------------------------------------------- append
-    def note_sweep(self, meta: Dict) -> None:
+    def note_sweep(self, meta: Dict, sync: bool = True) -> None:
         """Record driver metadata (figure, sizes, scale) for resume."""
-        self._append({"kind": "sweep", "meta": meta})
+        self._append({"kind": "sweep", "meta": meta}, sync)
 
     def note_cell(self, key: str, status: str, *, spec: Optional[Dict] = None,
                   config_hash: Optional[str] = None,
@@ -342,7 +361,8 @@ class SweepJournal(AppendLog):
                   error: Optional[str] = None,
                   violation: Optional[Dict] = None,
                   oom: Optional[bool] = None,
-                  worker: Optional[str] = None) -> None:
+                  worker: Optional[str] = None,
+                  sync: bool = True) -> None:
         if status not in STATUSES:
             raise ValueError(f"bad status {status!r}")
         record: Dict = {"kind": "cell", "key": key, "status": status}
@@ -362,7 +382,7 @@ class SweepJournal(AppendLog):
             record["oom"] = True
         if worker is not None:
             record["worker"] = worker
-        self._append(record)
+        self._append(record, sync)
 
     def note_service(self, event: str, **fields) -> None:
         """Record one service event (``heartbeat_loss``, ``reassign``...).

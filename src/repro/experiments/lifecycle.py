@@ -11,6 +11,13 @@ an attempt runs, and report what became of it::
     while (started := ledger.start_next()) is not None:
         spec, attempt = started
         ledger.done(spec.key, attempt, run_cell(spec))   # or .failed(...)
+
+The ledger fsyncs the journal once per finished cell: the records of
+one ledger build share one fsync, a ``running`` record is written and
+flushed but not fsync'd (the next synced record makes it durable), and
+every other record is fsync'd as it is written. Losing a ``running``
+record costs nothing, because a resume queues ``pending`` and
+``running`` cells alike at attempt 0.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ class CellLedger:
         self._terminal: Set[str] = set()
         self._reported: Set[Tuple[str, int]] = set()
         if journal is not None and meta and not journal.meta:
-            journal.note_sweep(meta)
+            journal.note_sweep(meta, sync=False)
         for key, spec in self.specs.items():
             state = journal.cells.get(key) if journal is not None else None
             digest = spec.config_hash() if journal is not None else None
@@ -115,11 +122,13 @@ class CellLedger:
                 continue
             if journal is not None and (state is None
                                         or state.config_hash != digest):
-                self._note(key, "pending", spec=spec.to_dict(),
+                self._note(key, "pending", sync=False, spec=spec.to_dict(),
                            config_hash=digest)
             else:
                 self.states[key] = state.status if state else "pending"
             self.queue.append((key, 0, 0.0))
+        if journal is not None:
+            journal.sync()
 
     @property
     def quarantined(self) -> List[CellOutcome]:
@@ -140,7 +149,8 @@ class CellLedger:
             if not_before <= now:
                 del self.queue[index]
                 self.running[key] = attempt
-                self._note(key, "running", attempt=attempt, worker=worker)
+                self._note(key, "running", sync=False, attempt=attempt,
+                           worker=worker)
                 if self.on_start is not None:
                     self.on_start(self.specs[key], attempt)
                 return self.specs[key], attempt
@@ -153,8 +163,11 @@ class CellLedger:
         late result still completes the cell, withdrawing newer ones."""
         if self.settled(key, attempt):
             return False
-        self.running.pop(key, None)
-        self.queue = deque(item for item in self.queue if item[0] != key)
+        # A cell that is not terminal is either running or queued.
+        if key in self.running:
+            del self.running[key]
+        else:
+            self.queue = deque(item for item in self.queue if item[0] != key)
         record = (result_to_dict(result) if self.journal is not None
                   and not isinstance(result, dict) else result)
         self._finish(CellOutcome(self.specs[key], "done", attempt + 1,
@@ -202,7 +215,8 @@ class CellLedger:
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 
-    def _note(self, key: str, status: str, **fields) -> None:
+    def _note(self, key: str, status: str, sync: bool = True,
+              **fields) -> None:
         if self.journal is not None:
-            self.journal.note_cell(key, status, **fields)
+            self.journal.note_cell(key, status, sync=sync, **fields)
         self.states[key] = status

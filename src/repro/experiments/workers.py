@@ -11,15 +11,16 @@ timeout it runs them inline, in order, in the calling process — the
 exact code path the figure drivers always had, so default results stay
 byte-identical. With ``jobs > 1`` (or a timeout) the cells run in a pool
 of at most ``jobs`` forked worker processes, each sent one spec at a
-time over its pipe. A worker that reports ``ok`` takes the next ready
-cell; after any failed attempt it is gone, so a retry always starts in
-a fresh process. A crash (segfault, OOM kill) or a hang in one
-pathological configuration is contained: the supervisor reaps the
-worker and reports the failed attempt to the cell's
-:class:`~repro.experiments.lifecycle.CellLedger`, which retries it with
-exponential backoff up to ``retries`` times and finally *quarantines*
-the cell rather than sinking the sweep. Under a memory budget each
-worker runs one cell, so the budget caps that cell alone.
+time over its pipe. A worker that reports ``ok`` is sent the next ready
+cell before the finished one is journaled; after any failed attempt it
+is gone, so a retry always starts in a fresh process. A crash
+(segfault, OOM kill) or a hang in one pathological configuration is
+contained: the supervisor reaps the worker and reports the failed
+attempt to the cell's :class:`~repro.experiments.lifecycle.CellLedger`,
+which retries it with exponential backoff up to ``retries`` times and
+finally *quarantines* the cell rather than sinking the sweep. Under a
+memory budget each worker runs one cell, so the budget caps that cell
+alone.
 """
 
 from __future__ import annotations
@@ -436,31 +437,37 @@ def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
     ctx = _mp_context(mp_context)
     busy: List[_Running] = []
     idle: List[_Running] = []   # live workers whose last cell was ``ok``
+
+    def launch() -> bool:
+        """Start the next ready cell on the newest idle worker, or on a
+        fresh one; False when no cell is ready."""
+        started = ledger.start_next()
+        if started is None:
+            return False
+        spec, attempt = started
+        reused = _reuse(idle, spec) if attempt == 0 else None
+        if reused is None and idle:
+            # A retry starts in a fresh process; retiring an idle
+            # worker for it keeps the pool at ``jobs`` processes.
+            _reap(idle.pop())
+        proc, conn = reused or _spawn(ctx, cell_fn, spec,
+                                      memory_budget_mb, busy + idle)
+        deadline = (time.monotonic() + timeout
+                    if timeout is not None else None)
+        busy.append(_Running(proc, conn, spec, attempt, deadline))
+        return True
+
     try:
         while ledger.queue or busy:
-            while len(busy) < jobs:
-                started = ledger.start_next()
-                if started is None:
-                    break
-                spec, attempt = started
-                reused = _reuse(idle, spec) if attempt == 0 else None
-                if reused is None and idle:
-                    # A retry starts in a fresh process; retiring an idle
-                    # worker for it keeps the pool at ``jobs`` processes.
-                    _reap(idle.pop())
-                proc, conn = reused or _spawn(ctx, cell_fn, spec,
-                                              memory_budget_mb, busy + idle)
-                deadline = (time.monotonic() + timeout
-                            if timeout is not None else None)
-                busy.append(_Running(proc, conn, spec, attempt, deadline))
+            while len(busy) < jobs and launch():
+                pass
             if not busy:
                 time.sleep(0.005)
                 continue
             multiprocessing.connection.wait(
                 [entry.conn for entry in busy], timeout=0.05)
             now = time.monotonic()
-            still: List[_Running] = []
-            for entry in busy:
+            for entry in list(busy):
                 key, attempt = entry.spec.key, entry.attempt
                 ready = entry.conn.poll()
                 dead = not ready and not entry.proc.is_alive()
@@ -470,6 +477,7 @@ def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
                     # the pipe once more before failing the attempt.
                     ready = entry.conn.poll()
                 if ready:
+                    busy.remove(entry)
                     try:
                         kind, payload = entry.conn.recv()
                     except EOFError:
@@ -478,7 +486,10 @@ def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
                             f"(exitcode {entry.proc.exitcode})")
                     if (kind == "ok" and memory_budget_mb is None
                             and entry.proc.is_alive()):
+                        # Its next cell goes out before this one's done
+                        # record is journaled and fsync'd.
                         idle.append(entry)
+                        launch()
                     else:   # the worker exits after this reply
                         entry.proc.join(1.0)
                         _reap(entry)
@@ -490,18 +501,17 @@ def _run_pool(ledger: CellLedger, *, jobs, timeout, cell_fn, mp_context,
                     else:   # "error", "oom" or "crashed"
                         ledger.failed(key, attempt, payload, kind)
                 elif dead:
+                    busy.remove(entry)
                     _reap(entry)
                     ledger.failed(key, attempt,
                                   f"worker died without a result "
                                   f"(exitcode {entry.proc.exitcode})",
                                   "crashed")
                 elif entry.deadline is not None and now > entry.deadline:
+                    busy.remove(entry)
                     _reap(entry)
                     ledger.failed(key, attempt,
                                   f"cell exceeded {timeout:g}s wall-clock "
                                   f"timeout", "timeout")
-                else:
-                    still.append(entry)
-            busy = still
     finally:
         drain_pool(busy + idle)

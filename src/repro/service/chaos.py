@@ -381,6 +381,9 @@ class ChaosChannel(Channel):
     def poll(self) -> bool:
         return bool(self._queued_recv) or self.inner.poll()
 
+    def fileno(self) -> int:
+        return self.inner.fileno()
+
     def close(self) -> None:
         # Delayed sends still in flight are flushed late — exactly the
         # "late result from a presumed-dead worker" scenario the
@@ -407,6 +410,9 @@ class ChaosListener(Listener):
         if channel is None:
             return None
         return self._transport._wrap(channel, "accept")
+
+    def fileno(self) -> int:
+        return self.inner.fileno()
 
     def close(self) -> None:
         self.inner.close()

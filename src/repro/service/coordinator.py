@@ -24,9 +24,17 @@ restart, jobs left ``running`` re-activate and their journals' ``done``
 cells are skipped, bit-identical.
 
 The coordinator is single-threaded: drive it with :meth:`step` (tests)
-or :meth:`serve_forever` (the ``repro serve`` loop). It is not
-thread-safe; submit over a transport channel instead of calling
-:meth:`submit` from another thread.
+or :meth:`serve_forever` (the ``repro serve`` loop). A loop that gets no
+progress from a step calls :meth:`wait`, which blocks until the listener
+or a live channel is readable, never longer than the loop's poll
+interval. It is not thread-safe; submit over a transport channel
+instead of calling :meth:`submit` from another thread.
+
+Workers are kept busy: a worker reporting ``done`` is sent its next
+ready cell before the finished cell's ``done`` record is journaled and
+fsync'd, and when a job's last cell lands the next queued job is
+activated and dispatched before the finished job's artifacts are
+written.
 
 Hardening (see ``docs/CHAOS.md`` for the guarantees and the chaos
 gauntlet that enforces them):
@@ -68,7 +76,8 @@ from ..experiments.lifecycle import CellLedger, CellOutcome, last_line
 from . import protocol
 from .jobs import Job, JobQueue
 from .requests import SweepRequest
-from .transport import Channel, ChannelClosed, Listener, MalformedFrame
+from .transport import (Channel, ChannelClosed, Listener, MalformedFrame,
+                        wait_readable)
 
 __all__ = ["Coordinator", "WorkerState", "COUNTERS"]
 
@@ -219,19 +228,32 @@ class Coordinator:
         progress |= self._pump_workers()
         progress |= self._check_heartbeats()
         progress |= self._check_assignments()
-        progress |= self._activate_next()
+        finished = None
+        if self.active is not None and self.active.finished():
+            # The next job's cells go out first; the finished job keeps
+            # its ``running`` queue status until its artifacts exist.
+            finished, self.active = self.active, None
+        progress |= self._activate_next(finished)
         if self.active is not None:
             progress |= self._dispatch()
-            if self.active.finished():
-                self._finalize()
-                progress = True
+        if finished is not None:
+            self._finalize(finished)
+            progress = True
         self._gauges()
         return progress
+
+    def wait(self, timeout: float) -> None:
+        """Block until a dial or a frame arrives, at most ``timeout``
+        seconds: the one idle wait of every loop driving :meth:`step`."""
+        channels = self._unclassified + [
+            worker.channel for worker in self.workers.values()
+            if not worker.lost]
+        wait_readable(self.listener, channels, timeout)
 
     def serve_forever(self, poll_interval: float = 0.02) -> None:
         while not self._stopped:
             if not self.step():
-                time.sleep(poll_interval)
+                self.wait(poll_interval)
 
     def stop(self) -> None:
         self._stopped = True
@@ -599,6 +621,10 @@ class Coordinator:
         self._count("results")
         if status == "done":
             worker.completed += 1
+            if assigned:
+                # Hand the worker its next cell before this one's done
+                # record is journaled and fsync'd.
+                self._assign_next(worker)
             active.ledger.done(key, attempt, message.get("result"),
                                worker=worker.id)
         else:   # error / timeout / crashed / violation
@@ -613,10 +639,13 @@ class Coordinator:
                       f"{last_line(outcome.error)}")
 
     # -------------------------------------------------------------- jobs
-    def _activate_next(self) -> bool:
+    def _activate_next(self, finishing: Optional[_ActiveJob] = None) -> bool:
+        """Activate the first pending job other than ``finishing``."""
         if self.active is not None:
             return False
         for job in self.queue.pending():
+            if finishing is not None and job.id == finishing.job.id:
+                continue
             if self._activate(job):
                 return True
         return False
@@ -648,33 +677,35 @@ class Coordinator:
         return True
 
     def _dispatch(self) -> bool:
-        active = self.active
         progress = False
-        now = time.monotonic()
         for worker in list(self.workers.values()):
             if worker.lost or worker.inflight is not None:
                 continue
-            started = active.ledger.start_next(worker=worker.id)
-            if started is None:
+            if not self._assign_next(worker):
                 break
-            spec, attempt = started
-            worker.inflight = (active.job.id, spec.key, attempt)
-            worker.assigned_at = now
-            active.inflight[spec.key] = worker.id
-            self._count("dispatched")
-            try:
-                worker.channel.send(protocol.assign(
-                    active.job.id, spec.key, spec.to_dict(), attempt))
-            except ChannelClosed:
-                self._lose_worker(worker, "send failed",
-                                  event="worker_lost")
-                continue
             progress = True
         return progress
 
-    def _finalize(self) -> None:
+    def _assign_next(self, worker: WorkerState) -> bool:
+        """Start the active job's next ready cell on idle ``worker``;
+        False when no cell is ready."""
         active = self.active
-        self.active = None
+        started = active.ledger.start_next(worker=worker.id)
+        if started is None:
+            return False
+        spec, attempt = started
+        worker.inflight = (active.job.id, spec.key, attempt)
+        worker.assigned_at = time.monotonic()
+        active.inflight[spec.key] = worker.id
+        self._count("dispatched")
+        try:
+            worker.channel.send(protocol.assign(
+                active.job.id, spec.key, spec.to_dict(), attempt))
+        except ChannelClosed:
+            self._lose_worker(worker, "send failed", event="worker_lost")
+        return True
+
+    def _finalize(self, active: _ActiveJob) -> None:
         active.journal.close()
         job = active.job
         quarantined = sorted(o.key for o in active.ledger.quarantined)

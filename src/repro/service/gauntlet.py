@@ -161,7 +161,7 @@ def run_gauntlet(state_dir: str, *,
         while not (coordinator.queue.counts()["done"]
                    + coordinator.queue.counts()["failed"]):
             if not coordinator.step():
-                time.sleep(0.002)
+                coordinator.wait(0.002)
             if (victim is not None
                     and coordinator.counters["results"] >= 1):
                 proc = procs[victim]

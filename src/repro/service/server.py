@@ -152,7 +152,7 @@ def serve(socket_path: Optional[str] = None, *,
                         and time.monotonic() >= linger_until):
                     break
                 if not progressed:
-                    time.sleep(poll_interval)
+                    coordinator.wait(poll_interval)
     except KeyboardInterrupt:   # pragma: no cover - signal path races
         pass
     finally:

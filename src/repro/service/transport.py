@@ -17,12 +17,20 @@ stream-shaped tomorrow) only has to implement four methods:
   ``None``.
 * ``Transport.connect(address)`` — dial a listener.
 
+Readiness is part of the contract too: every listener and channel has a
+``fileno()`` that polls readable when a connection or a frame may be
+waiting. :func:`wait_readable` blocks on them (after ``Channel.poll()``
+for frames already read off the wire), and it is the one place the
+coordinator waits when a step makes no progress.
+
 Two implementations ship in-tree:
 
 :class:`InProcTransport`
     Queue-backed channels inside one process. Used by the test suite
     and by embedded coordinators; messages still round-trip through
-    JSON so anything that works in-process works over a socket.
+    JSON so anything that works in-process works over a socket. Each
+    queue mirrors its length into a pipe, so in-process endpoints
+    poll like sockets.
 
 :class:`SocketTransport`
     ``AF_UNIX`` (addresses containing a path separator) or TCP
@@ -39,16 +47,16 @@ from __future__ import annotations
 
 import json
 import os
-import queue
+import select
 import socket
 import threading
 import time
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 __all__ = ["ChannelClosed", "MalformedFrame", "Channel", "Listener",
            "Transport", "InProcTransport", "SocketTransport",
-           "is_path_address"]
+           "is_path_address", "wait_readable"]
 
 
 class ChannelClosed(ConnectionError):
@@ -103,6 +111,11 @@ class Channel:
         """True if :meth:`recv` would return a message without blocking."""
         raise NotImplementedError
 
+    def fileno(self) -> int:
+        """A descriptor that polls readable when a frame or the peer's
+        close may have arrived."""
+        raise NotImplementedError
+
     def close(self) -> None:
         raise NotImplementedError
 
@@ -113,6 +126,10 @@ class Listener:
     address = "?"
 
     def accept(self, timeout: Optional[float] = None) -> Optional[Channel]:
+        raise NotImplementedError
+
+    def fileno(self) -> int:
+        """A descriptor that polls readable when a dial is waiting."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -132,8 +149,89 @@ class Transport:
         raise NotImplementedError
 
 
+def wait_readable(listener: Listener, channels: Sequence[Channel],
+                  timeout: float) -> None:
+    """Block until ``listener`` or one of ``channels`` is readable, for
+    at most ``timeout`` seconds; return at once if a channel already
+    holds a frame (a socket may have read it off the wire, leaving its
+    descriptor quiet).
+
+    An endpoint closed underneath the wait cannot be polled; the wait
+    then sleeps ``timeout``, so a caller's loop cannot spin.
+    """
+    if any(channel.poll() for channel in channels):
+        return
+    poller = select.poll()
+    try:
+        for endpoint in (listener, *channels):
+            poller.register(endpoint, select.POLLIN)
+    except (OSError, ValueError):
+        time.sleep(timeout)
+        return
+    poller.poll(timeout * 1000.0)
+
+
 # ---------------------------------------------------------------- inproc
 _EOF = object()
+
+
+class _Inbox:
+    """A thread-safe FIFO whose pipe holds one byte per queued item, so
+    an in-process endpoint is readable to ``poll`` exactly while it has
+    something to take. A full pipe only loses bytes, never adds them:
+    readiness can lag (``Channel.poll`` covers that), never lie."""
+
+    _read_fd = _write_fd = None
+
+    def __init__(self):
+        self._items: deque = deque()
+        self._ready = threading.Condition()
+        self._read_fd, self._write_fd = os.pipe()
+        os.set_blocking(self._read_fd, False)
+        os.set_blocking(self._write_fd, False)
+
+    def put(self, item) -> None:
+        with self._ready:
+            self._items.append(item)
+            if self._write_fd is not None:
+                try:
+                    os.write(self._write_fd, b"\0")
+                except BlockingIOError:
+                    pass
+            self._ready.notify()
+
+    def get(self, timeout: Optional[float]):
+        """The next item; ``_EMPTY`` if none came within ``timeout``."""
+        with self._ready:
+            if not self._ready.wait_for(lambda: self._items, timeout):
+                return _EMPTY
+            if self._read_fd is not None:
+                try:
+                    os.read(self._read_fd, 1)
+                except BlockingIOError:
+                    pass
+            return self._items.popleft()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def fileno(self) -> int:
+        return -1 if self._read_fd is None else self._read_fd
+
+    def close(self) -> None:
+        """Release the pipe; the queue keeps working, unpollable."""
+        with self._ready:
+            for fd in (self._read_fd, self._write_fd):
+                if fd is not None:
+                    os.close(fd)
+            self._read_fd = self._write_fd = None
+
+    def __del__(self):
+        if self._read_fd is not None:
+            self.close()
+
+
+_EMPTY = object()
 
 
 class _RawLine:
@@ -159,7 +257,7 @@ def _decode_line(peer: str, text: str) -> Dict:
 class _InProcChannel(Channel):
     def __init__(self, peer: str):
         self.peer = peer
-        self._inbox: "queue.Queue" = queue.Queue()
+        self._inbox = _Inbox()
         self._partner: Optional["_InProcChannel"] = None
         self._closed = False
 
@@ -183,14 +281,10 @@ class _InProcChannel(Channel):
         partner._inbox.put(_RawLine(text))
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Dict]:
-        try:
-            if timeout == 0:
-                item = self._inbox.get_nowait()
-            else:
-                item = self._inbox.get(timeout=timeout)
-        except queue.Empty:
+        item = self._inbox.get(timeout)
+        if item is _EMPTY:
             if self._closed:
-                raise ChannelClosed(f"{self.peer}: channel closed") from None
+                raise ChannelClosed(f"{self.peer}: channel closed")
             return None
         if item is _EOF:
             self._inbox.put(_EOF)   # keep raising for later callers
@@ -200,7 +294,10 @@ class _InProcChannel(Channel):
         return item
 
     def poll(self) -> bool:
-        return not self._inbox.empty()
+        return len(self._inbox) > 0
+
+    def fileno(self) -> int:
+        return self._inbox.fileno()
 
     def close(self) -> None:
         if self._closed:
@@ -210,24 +307,25 @@ class _InProcChannel(Channel):
         if partner is not None and not partner._closed:
             partner._inbox.put(_EOF)
         self._inbox.put(_EOF)
+        self._inbox.close()
 
 
 class _InProcListener(Listener):
     def __init__(self, address: str):
         self.address = address
-        self._backlog: "queue.Queue" = queue.Queue()
+        self._backlog = _Inbox()
         self.closed = False
 
     def accept(self, timeout: Optional[float] = None) -> Optional[Channel]:
-        try:
-            if timeout == 0:
-                return self._backlog.get_nowait()
-            return self._backlog.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        channel = self._backlog.get(timeout)
+        return None if channel is _EMPTY else channel
+
+    def fileno(self) -> int:
+        return self._backlog.fileno()
 
     def close(self) -> None:
         self.closed = True
+        self._backlog.close()
 
 
 class InProcTransport(Transport):
@@ -351,6 +449,9 @@ class _SocketChannel(Channel):
             return True    # recv() will raise promptly
         return bool(self._lines)
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def close(self) -> None:
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
@@ -379,6 +480,9 @@ class _SocketListener(Listener):
             raise ChannelClosed(f"{self.address}: {exc}") from exc
         conn.setblocking(True)
         return _SocketChannel(conn, f"{self.address}#accepted")
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def close(self) -> None:
         try:

@@ -279,14 +279,12 @@ class Process(Event):
             event._defused = True
             throw = True
         while True:
-            sim._active_process = self
             try:
                 if throw:
                     target = generator.throw(value)
                 else:
                     target = generator.send(value)
             except StopIteration as stop:
-                sim._active_process = None
                 sim._alive.discard(self)
                 self._target = None
                 # Break the process <-> bound-method cycle so finished
@@ -295,13 +293,11 @@ class Process(Event):
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                sim._active_process = None
                 sim._alive.discard(self)
                 self._target = None
                 self._resume_cb = None
                 self.fail(exc)
                 return
-            sim._active_process = None
             if isinstance(target, Event):
                 break
             # Non-Event yield: throw SimulationError into the generator
@@ -443,7 +439,6 @@ class Simulator:
         # attribute load and one C call per event.
         self._push = partial(heappush, self._queue)
         self._counter = itertools.count()
-        self._active_process: Optional[Process] = None
         self.debug = debug
         self.event_count = 0
         self.telemetry = NULL_TELEMETRY
@@ -480,11 +475,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time, in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     # -- event factories -------------------------------------------------
     def event(self) -> Event:
@@ -566,11 +556,6 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._push([self._now + delay, next(self._counter), event])
-
-    def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if none)."""
-        queue = self._queue
-        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process exactly one event (the instrumented, debuggable path).

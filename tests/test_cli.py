@@ -151,6 +151,18 @@ class TestHarnessCommands:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert list(tmp_path.rglob("*.journal.jsonl")) == []
 
+    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--timeout", "0"],
+                                      ["--memory-budget", "0"]],
+                             ids=["jobs", "timeout", "memory-budget"])
+    def test_traffic_rejects_a_bad_harness_flag(self, flag, tmp_path,
+                                                capsys):
+        assert main(["traffic", "--arch", "active", "--sessions", "10",
+                     "--loads", "0.5", "--out-dir", str(tmp_path)]
+                    + flag) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_missing_journal_fails(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["resume"])   # journal path is required

@@ -1,7 +1,9 @@
 """The cell lifecycle (`repro.experiments.lifecycle`): every interleaving
-of lifecycle events with a crash after every journal record, identical
-journals from the local harness and the service, and the rule that only
-the lifecycle module writes cell records."""
+of lifecycle events with a crash after every journal record, a process
+crash keeping every flushed record and a power cut only the fsync'd
+ones; identical journals from the local harness and the service; the
+next cell handed out before the last one is journaled; and the rule that
+only the lifecycle module writes cell records."""
 
 import copy
 import json
@@ -28,14 +30,21 @@ PRESUMED = ("timeout", "crashed")
 RESULT = {"elapsed": 1.0}        # a result encoding; its content is moot
 
 
-class _NoSync(RealIO):
-    """Real files without fsync: these tests are about records."""
+class _Syncs(RealIO):
+    """Real files without fsync, noting each file's size at every fsync:
+    the prefix a power cut would keep."""
+
+    def __init__(self):
+        self.synced = []            # (path, size)
 
     def fsync(self, handle):
-        pass
+        self.synced.append((handle.name, handle.tell()))
 
     def fsync_dir(self, directory):
         pass
+
+    def sizes(self, path):
+        return [size for name, size in self.synced if name == str(path)]
 
 
 def _cells_of(text):
@@ -96,6 +105,11 @@ class _Explorer:
     """Model-checks a ledger: every transition out of every reachable
     state, with a crash and a resume after every appended record.
 
+    Each crash is tried twice: a process crash keeps every flushed
+    record, a power cut keeps the file only up to its last fsync. The
+    ledger must fsync every record but ``running`` ones at once, and the
+    records of its build with one fsync at the end.
+
     Two event orders that reach the same state are explored once past
     it. That still covers every order, because each check depends only
     on the state before a transition and the records it appends.
@@ -109,20 +123,32 @@ class _Explorer:
         self.keys = [spec.key for spec in self.specs]
         self.resumed_folds = set()
         self.states = 0
+        self.io = _Syncs()
 
     def run(self):
-        path = str(self.tmp / "root.jsonl")
-        journal = SweepJournal.load(path)
+        with io_scope(self.io):
+            self._explore()
+
+    def _explore(self):
+        path = self.tmp / "root.jsonl"
+        journal = SweepJournal.load(str(path))
         ledger = CellLedger(self.specs, journal, retries=self.retries,
                             backoff=0.0)
         journal.close()
         ledger.journal = None
+        text = path.read_text()
+        assert self.io.sizes(path) == [len(text)]   # one fsync, at the end
+        end = 0
+        for line in text.split("\n")[:-1]:
+            end += len(line) + 1
+            self._crash(text[:end])
+        self._crash("")     # a power cut before that fsync
         models = {key: _Model() for key in self.keys}
         queue = [(key, 0) for key in self.keys]
-        stack = [(ledger, Path(path).read_text(), models, queue)]
+        stack = [(ledger, text, len(text), models, queue)]
         seen = set()
         while stack:
-            ledger, text, models, queue = stack.pop()
+            ledger, text, durable, models, queue = stack.pop()
             state = (tuple(queue),
                      tuple(models[key].key() for key in self.keys))
             if state in seen:
@@ -130,7 +156,8 @@ class _Explorer:
             seen.add(state)
             self.states += 1
             for action in self._actions(models, queue):
-                stack.append(self._step(ledger, text, models, queue, action))
+                stack.append(self._step(ledger, text, durable, models, queue,
+                                        action))
 
     def _actions(self, models, queue):
         actions = [("start", None, None)] if queue else []
@@ -144,7 +171,7 @@ class _Explorer:
                 actions.append(("late", key, None))
         return actions
 
-    def _step(self, ledger, text, models, queue, action):
+    def _step(self, ledger, text, durable, models, queue, action):
         """Apply ``action`` to a copy of the state; check; crash."""
         path = self.tmp / "edge.jsonl"
         path.write_text(text)
@@ -152,6 +179,7 @@ class _Explorer:
         ledger.journal = SweepJournal.load(str(path))
         models = copy.deepcopy(models)
         queue = list(queue)
+        self.io.synced.clear()
         verb, key, kind = action
         model = models.get(key)
         if verb == "start":
@@ -193,11 +221,18 @@ class _Explorer:
         ledger.journal.close()
         after = path.read_text()
         self._check(ledger, after, models, queue)
-        new = [line for line in after[len(text):].split("\n") if line]
-        for index in range(1, len(new) + 1):
-            self._crash(text + "".join(line + "\n" for line in new[:index]))
+        syncs = self.io.sizes(path)
+        end = len(text)
+        for line in after[len(text):].split("\n")[:-1]:
+            end += len(line) + 1
+            durable = max([durable] + [size for size in syncs
+                                       if size <= end])
+            running = json.loads(line)["status"] == "running"
+            assert (durable < end) == running, f"fsync policy: {line}"
+            self._crash(after[:end])        # a process crash
+            self._crash(after[:durable])    # a power cut
         ledger.journal = None
-        return ledger, after, models, queue
+        return ledger, after, durable, models, queue
 
     def _check(self, ledger, text, models, queue):
         records = _cells_of(text)
@@ -215,8 +250,8 @@ class _Explorer:
             for m in models.values())
 
     def _crash(self, text):
-        """Power loss right after the last record of ``text``: a fresh
-        ledger over the reloaded journal completes every cell once."""
+        """A crash leaving ``text``: a fresh ledger over the reloaded
+        journal completes every cell once."""
         path = self.tmp / "crash.jsonl"
         path.write_text(text)
         journal = SweepJournal.load(str(path))
@@ -227,7 +262,8 @@ class _Explorer:
         self.resumed_folds.add(signature)
         ledger = CellLedger(self.specs, journal, retries=self.retries,
                             backoff=0.0)
-        assert ledger.states == fold
+        assert ledger.states == {key: fold.get(key, "pending")
+                                 for key in self.keys}
         assert set(ledger.resumed) == {key for key, status in fold.items()
                                        if status == "done"}
         while (started := ledger.start_next()) is not None:
@@ -247,8 +283,7 @@ class TestInterleavings:
     def test_every_order_with_a_crash_after_every_record(
             self, tmp_path, keys, retries, states):
         explorer = _Explorer(tmp_path, keys, retries)
-        with io_scope(_NoSync()):
-            explorer.run()
+        explorer.run()
         assert explorer.states == states
 
 
@@ -342,6 +377,99 @@ class TestJournalParity:
         if "fork" in __import__("multiprocessing").get_all_start_methods():
             assert _local(tmp_path, monkeypatch, jobs=2) == inline
         assert _service(tmp_path) == inline
+
+
+# --------------------------------------------------------- hand-off
+def _marking_cell(marks):
+    """A cell that leaves a file in ``marks`` as it starts."""
+    def cell(spec):
+        open(os.path.join(marks, spec.key), "w").close()
+        return run_cell(spec)
+    return cell
+
+
+def _hand_off_journal(marks, cells, late):
+    """A journal class that appends each ``done`` record only once the
+    next of ``cells`` cells has started (left its file in ``marks``), or
+    after 5 s, noting in ``late`` whether it had to give up waiting."""
+    class Journal(SweepJournal):
+        def note_cell(self, key, status, **fields):
+            if status == "done":
+                finished = len(late) + 1
+
+                def waiting():
+                    return (finished < cells
+                            and len(os.listdir(marks)) <= finished)
+                deadline = time.monotonic() + 5.0
+                while waiting() and time.monotonic() < deadline:
+                    time.sleep(0.002)
+                late.append(waiting())
+            super().note_cell(key, status, **fields)
+    return Journal
+
+
+class TestHandOff:
+    """A worker that reports a finished cell is sent its next one before
+    that cell's ``done`` record is appended."""
+
+    @pytest.mark.skipif("fork" not in __import__("multiprocessing")
+                        .get_all_start_methods(),
+                        reason="fork start method required")
+    def test_pool(self, tmp_path):
+        from repro.service import SweepRequest
+
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        specs = SweepRequest.from_dict(GRID).cells()
+        late = []
+        journal = _hand_off_journal(str(marks), len(specs), late).load(
+            str(tmp_path / "pool.journal.jsonl"))
+        ledger = CellLedger(specs, journal)
+        outcomes = run_ledger(ledger, jobs=1, timeout=60.0,
+                              cell_fn=_marking_cell(str(marks)),
+                              mp_context="fork")
+        journal.close()
+        assert [outcome.status for outcome in outcomes] == ["done"] * 3
+        assert late == [False] * 3
+
+    def test_coordinator(self, tmp_path, monkeypatch):
+        import repro.service.coordinator as coordinator_module
+
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        late = []
+        monkeypatch.setattr(coordinator_module, "SweepJournal",
+                            _hand_off_journal(str(marks), 3, late))
+        transport = InProcTransport()
+        coordinator = Coordinator(str(tmp_path / "state"),
+                                  transport.listen("coord"),
+                                  out_dir=str(tmp_path / "out"))
+        worker = ServiceWorker(transport.connect("coord"), "t1",
+                               heartbeat_interval=0.05,
+                               cell_fn=_marking_cell(str(marks)))
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        job = coordinator.submit(GRID)
+        deadline = time.monotonic() + 60.0
+        while coordinator.queue.jobs[job.id].status not in ("done",
+                                                             "failed"):
+            if not coordinator.step():
+                coordinator.wait(0.01)
+            assert time.monotonic() < deadline, "coordinator stalled"
+        coordinator.close()
+        thread.join(3.0)
+        assert coordinator.queue.jobs[job.id].status == "done"
+        assert late == [False] * 3
+
+
+def test_a_clean_sweep_never_rebuilds_the_queue():
+    specs = [CellSpec(task="select", arch=arch, num_disks=2, scale=1 / 1024)
+             for arch in ("active", "cluster", "smp")]
+    ledger = CellLedger(specs)
+    queue = ledger.queue
+    run_ledger(ledger, cell_fn=lambda spec: RESULT)
+    assert [outcome.status for outcome in ledger.outcomes] == ["done"] * 3
+    assert ledger.queue is queue and not queue
 
 
 # ---------------------------------------------------------- structure

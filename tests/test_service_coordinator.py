@@ -16,6 +16,7 @@ from repro.service import (
     Coordinator,
     InProcTransport,
     ServiceWorker,
+    SocketTransport,
     SweepRequest,
 )
 from repro.service import protocol
@@ -254,9 +255,20 @@ class TestHeartbeatReassignment:
 
 
 # ------------------------------------------------------------------ resume
+def _slow_last_cell(spec):
+    """The grid's last cell (smp) takes half a second. A worker is sent
+    its next cell before its finished one is journaled, so without the
+    delay that cell's result could land in the very step that applies
+    the first one, and a coordinator stopped there would have no cell
+    left to resume."""
+    if spec.arch == "smp":
+        time.sleep(0.5)
+    return run_cell(spec)
+
+
 class TestCoordinatorResume:
     def test_killed_coordinator_resumes_bit_identically(self, tmp_path):
-        cluster = _Cluster(tmp_path)
+        cluster = _Cluster(tmp_path, cell_fn=_slow_last_cell)
         job = cluster.coordinator.submit(REQUEST)
         # Run until the first result lands, then "crash" the coordinator
         # (close releases files; the abandoned state is all on disk).
@@ -290,7 +302,7 @@ class TestCoordinatorResume:
         ``repro resume``" — only the unfinished cells run again."""
         from repro.cli import main
 
-        cluster = _Cluster(tmp_path)
+        cluster = _Cluster(tmp_path, cell_fn=_slow_last_cell)
         job = cluster.coordinator.submit(REQUEST)
         deadline = time.monotonic() + 60.0
         while cluster.coordinator.counters["results"] < 1:
@@ -350,3 +362,56 @@ class TestTelemetry:
         assert cluster.coordinator.telemetry is None
         assert cluster.coordinator.counters["jobs_submitted"] == 0
         cluster.close()
+
+
+# ---------------------------------------------------------- idle wait
+class TestReadinessWait:
+    """An idle coordinator wakes on a dial or a frame, not on a timer."""
+
+    @pytest.mark.parametrize("kind", ["inproc", "socket"])
+    def test_serve_forever_answers_a_result_at_once(self, tmp_path, kind):
+        if kind == "inproc":
+            transport, address = InProcTransport(), "coord"
+        else:
+            transport, address = SocketTransport(), str(tmp_path / "c.sock")
+            if len(address) > 100:
+                pytest.skip(f"tmp_path too long for AF_UNIX: {address}")
+        coordinator = Coordinator(str(tmp_path / "state"),
+                                  transport.listen(address),
+                                  out_dir=str(tmp_path / "out"),
+                                  heartbeat_timeout=60.0)
+        serving = threading.Thread(target=coordinator.serve_forever,
+                                   kwargs={"poll_interval": 1.0},
+                                   daemon=True)
+        serving.start()
+        spans = []
+
+        def timed_cell(spec):
+            began = time.monotonic()
+            result = run_cell(spec)
+            spans.append((began, time.monotonic()))
+            return result
+
+        # Heartbeats far apart, so only dials and results wake it.
+        worker = ServiceWorker(transport.connect(address, timeout=5.0),
+                               "w1", heartbeat_interval=30.0,
+                               cell_fn=timed_cell)
+        working = threading.Thread(target=worker.run, daemon=True)
+        working.start()
+        client = transport.connect(address, timeout=5.0)
+        client.send(protocol.submit(REQUEST))
+        reply = client.recv(5.0)
+        client.close()
+        deadline = time.monotonic() + 30.0
+        while len(spans) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        coordinator.stop()
+        serving.join(5.0)
+        coordinator.close()
+        working.join(5.0)
+        assert reply["kind"] == "submitted"
+        assert len(spans) == 3
+        # Result in, next assignment out: well inside the 1 s interval.
+        gaps = [began - ended for (_, ended), (began, _)
+                in zip(spans, spans[1:])]
+        assert max(gaps) < 0.25, gaps

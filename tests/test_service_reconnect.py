@@ -9,6 +9,7 @@ import time
 
 from repro.experiments.harness import SweepRunner
 from repro.experiments.journal import SweepJournal
+from repro.experiments.workers import run_cell
 from repro.service import (
     ChannelClosed,
     Coordinator,
@@ -140,6 +141,16 @@ def _crash(coordinator):
     coordinator.listener.close()
 
 
+def _slow_last_cell(spec):
+    """The grid's last cell (smp) takes half a second. A worker is sent
+    its next cell before its finished one is journaled, so without the
+    delay the whole job could finish in the step that applies the first
+    result, leaving nothing for the restarted coordinator to resume."""
+    if spec.arch == "smp":
+        time.sleep(0.5)
+    return run_cell(spec)
+
+
 class TestCoordinatorCrashRestart:
     def test_workers_reconnect_to_restarted_coordinator_exactly_once(
             self, tmp_path):
@@ -153,7 +164,7 @@ class TestCoordinatorCrashRestart:
         for index in range(2):
             worker = ServiceWorker(
                 transport.connect("coord"), f"w{index + 1}",
-                heartbeat_interval=0.05,
+                heartbeat_interval=0.05, cell_fn=_slow_last_cell,
                 reconnect=lambda: transport.connect("coord", timeout=2.0),
                 reconnect_backoff=0.05, max_reconnects=10)
             thread = threading.Thread(target=worker.run, daemon=True)

@@ -8,6 +8,7 @@ byte stream adds (framing, torn tails, address parsing).
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.service.transport import (
     InProcTransport,
     SocketTransport,
     is_path_address,
+    wait_readable,
 )
 
 
@@ -108,6 +110,51 @@ class TestChannelContract:
         with pytest.raises(ChannelClosed):
             for _ in range(100):   # a socket needs a round trip to notice
                 near.send({"x": 1})
+
+
+# ---------------------------------------------------------------- readiness
+class TestWaitReadable:
+    @pytest.mark.parametrize("kind", ["inproc", "socket"])
+    def test_wakes_on_a_frame_and_on_a_dial(self, kind, tmp_path):
+        if kind == "inproc":
+            transport, address = InProcTransport(), "addr"
+        else:
+            transport, address = SocketTransport(), str(tmp_path / "s.sock")
+        listener = transport.listen(address)
+        near = transport.connect(listener.address, timeout=5.0)
+        far = listener.accept(5.0)
+        dialer = None
+        try:
+            began = time.monotonic()
+            wait_readable(listener, [far], 0.2)
+            assert time.monotonic() - began >= 0.15     # nothing came
+            near.send({"x": 1})
+            began = time.monotonic()
+            wait_readable(listener, [far], 10.0)
+            assert time.monotonic() - began < 5.0
+            assert far.recv(0) == {"x": 1}
+            began = time.monotonic()
+            wait_readable(listener, [far], 0.2)
+            assert time.monotonic() - began >= 0.15     # frame taken
+            dialer = transport.connect(listener.address, timeout=5.0)
+            began = time.monotonic()
+            wait_readable(listener, [far], 10.0)
+            assert time.monotonic() - began < 5.0
+            accepted = listener.accept(0)
+            assert accepted is not None
+            accepted.close()
+        finally:
+            for channel in (near, far, dialer):
+                if channel is not None:
+                    channel.close()
+            listener.close()
+
+    def test_closed_endpoint_sleeps_instead_of_spinning(self, tmp_path):
+        listener = SocketTransport().listen(str(tmp_path / "s.sock"))
+        listener.close()
+        began = time.monotonic()
+        wait_readable(listener, [], 0.1)
+        assert time.monotonic() - began >= 0.08
 
 
 # ------------------------------------------------------------------- inproc

@@ -44,9 +44,6 @@ class TestClock:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
-    def test_peek_empty_queue(self, sim):
-        assert sim.peek() == float("inf")
-
     def test_event_count_increments(self, sim):
         def proc():
             yield sim.timeout(1.0)

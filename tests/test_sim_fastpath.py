@@ -120,8 +120,7 @@ class TestEmptyQueueStep:
             yield sim.timeout(1.0)
 
         sim.process(proc())
-        while sim.peek() != float("inf"):
-            sim.step()
+        sim.run()
         with pytest.raises(SimulationError, match="empty event queue"):
             sim.step()
         assert sim.now == 1.0  # the failed step did not move the clock

@@ -4,9 +4,8 @@ The pending-event queue is a ``heapq`` list of ``[time, seq, event]``
 entries owned by ``Simulator``. These tests pin its observable contract
 under every run loop — the fast loop, the checked (``debug=True``) loop
 and the armed-auditor loop: same pop order including same-tick FIFO,
-pooled timeouts and interrupts that do not disturb it, ``peek()`` that
-sees same-tick events still pending, and a clear error on an empty
-``step()``.
+pooled timeouts and interrupts that do not disturb it, and a clear
+error on an empty ``step()``.
 """
 
 import pytest
@@ -69,31 +68,6 @@ class TestKernelParity:
         assert times == sorted(times)
         assert workload(Simulator(debug=True)) == log
         assert workload(_armed_sim()) == log
-
-    def test_batch_aware_peek(self, queue):
-        # A callback running while other same-tick events are pending
-        # must still see peek() == now, so a process that paces itself
-        # by peek() neither misses nor overshoots the rest of the tick.
-        sim = Simulator()
-        peeks = []
-
-        def observer():
-            while True:
-                peeks.append((sim.now, sim.peek()))
-                if sim.peek() == float("inf"):
-                    return
-                yield sim.pause(sim.peek() - sim.now)
-
-        def worker():
-            for _ in range(3):
-                yield sim.pause(1.0)
-
-        sim.process(observer(), name="obs")
-        sim.process(worker(), name="work")
-        sim.run()
-        # The observer woke at every event time, including inside the
-        # t=0 bootstrap tick, so peek() never goes blind mid-tick.
-        assert [p[0] for p in peeks] == [0.0, 0.0, 1.0, 2.0, 3.0, 3.0]
 
 
 def _workload(sim):
